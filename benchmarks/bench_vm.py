@@ -52,7 +52,7 @@ from repro.dsl.lint import _lint_source_cached  # noqa: E402
 from repro.fleet.runner import run_scenario  # noqa: E402
 from repro.fleet.scenario import SCENARIOS  # noqa: E402
 from repro.sim.kernel import Simulator  # noqa: E402
-from repro.vm import fastpath, tracecomp  # noqa: E402
+from repro.vm import fastpath  # noqa: E402
 from repro.vm.machine import (  # noqa: E402
     DriverInstance,
     VirtualMachine,
@@ -65,9 +65,6 @@ FLEET_BASELINE = Path(__file__).resolve().parent.parent / "BENCH_fleet.json"
 #: Tentpole targets (reported; the --smoke gate only enforces >=1x).
 VM_TARGET_SPEEDUP = 3.0
 FLEET_TARGET_SPEEDUP = 1.5
-#: Trace-compiled dispatch vs the existing fastpath, on hot-loop images
-#: whose basic blocks actually fuse (>= MIN_FUSE_LEN instructions).
-TRACE_TARGET_SPEEDUP = 1.3
 
 
 # ----------------------------------------------------------- VM workloads
@@ -146,49 +143,6 @@ def vm_bench(iterations, repeats, rounds):
     return section
 
 
-def trace_bench(iterations, repeats, rounds):
-    """Trace-compiled dispatch vs the plain fastpath.
-
-    Only hot-loop images whose basic blocks fuse count toward the
-    speedup target: ``control_flow`` is a bare countdown (every block
-    under MIN_FUSE_LEN, zero traces compiled — reported but excluded),
-    while ``arithmetic`` and ``array_memory`` each fuse a long loop
-    body into one superinstruction closure.
-    """
-    section = {"workloads": [], "repeats": repeats, "iterations": iterations}
-    worst_fused = None
-    for name, (image, args) in vm_workloads(iterations).items():
-        tracecomp.clear_traces()
-        best = {}
-        cycles = {}
-        for _ in range(rounds):
-            for mode in ("fast", "trace"):
-                wall, steps, cyc = _time_workload(mode, image, args, repeats)
-                rate = steps / wall
-                if mode not in best or rate > best[mode]:
-                    best[mode] = rate
-                cycles[mode] = cyc
-        stats = tracecomp.trace_stats()
-        speedup = best["trace"] / best["fast"]
-        fused = stats["blocks"] > 0
-        section["workloads"].append({
-            "name": name,
-            "fastpath_steps_per_s": round(best["fast"]),
-            "trace_steps_per_s": round(best["trace"]),
-            "speedup_vs_fastpath": round(speedup, 2),
-            "traces_compiled": stats["images"],
-            "blocks_fused": stats["blocks"],
-            "cycles_identical": cycles["trace"] == cycles["fast"],
-        })
-        if fused and (worst_fused is None or speedup < worst_fused):
-            worst_fused = speedup
-    section["worst_fused_speedup"] = (
-        round(worst_fused, 2) if worst_fused is not None else None)
-    section["meets_1_3x_target"] = (
-        worst_fused is not None and worst_fused >= TRACE_TARGET_SPEEDUP)
-    return section
-
-
 def cycle_parity_check():
     """Every catalogue driver handler: identical cycles/steps or the
     identical trap under both engines.  Returns list of failures."""
@@ -197,7 +151,7 @@ def cycle_parity_check():
         image = compile_source(spec.dsl_source(), spec.device_id.value)
         for handler in image.handlers:
             outcomes = {}
-            for mode in ("reference", "fast", "trace"):
+            for mode in ("reference", "fast"):
                 vm = VirtualMachine(mode=mode)
                 instance = DriverInstance(image)
                 args = tuple(range(handler.n_params))
@@ -210,12 +164,11 @@ def cycle_parity_check():
                     outcomes[mode] = (result.cycles, result.steps)
                 except VmTrap as trap:
                     outcomes[mode] = ("trap", str(trap))
-            for mode in ("fast", "trace"):
-                if outcomes[mode] != outcomes["reference"]:
-                    failures.append(
-                        f"{spec.name} handler {handler.name_id} [{mode}]: "
-                        f"{outcomes['reference']} != {outcomes[mode]}"
-                    )
+            if outcomes["fast"] != outcomes["reference"]:
+                failures.append(
+                    f"{spec.name} handler {handler.name_id}: "
+                    f"{outcomes['reference']} != {outcomes['fast']}"
+                )
     return failures
 
 
@@ -340,7 +293,6 @@ def main(argv=None):
         "bench": "vm",
         "smoke": args.smoke,
         "vm": vm_bench(iterations, repeats, rounds),
-        "trace": trace_bench(iterations, repeats, rounds),
         "kernel": kernel_bench(kernel_events, rounds),
         "fleet": fleet_bench(fleet_nodes, fleet_duration, args.seed, rounds),
     }
@@ -355,15 +307,6 @@ def main(argv=None):
             failures.append(
                 f"fastpath slower than reference on {workload['name']} "
                 f"({workload['speedup']}x)"
-            )
-    for workload in report["trace"]["workloads"]:
-        if not workload["cycles_identical"]:
-            failures.append(
-                f"cycle divergence under trace mode in {workload['name']}")
-        if workload["blocks_fused"] and workload["speedup_vs_fastpath"] < 1.0:
-            failures.append(
-                f"trace dispatch slower than fastpath on fused workload "
-                f"{workload['name']} ({workload['speedup_vs_fastpath']}x)"
             )
     if not report["fleet"]["digests_identical"]:
         failures.append("fleet merged digest changed between VM modes")
@@ -385,16 +328,6 @@ def main(argv=None):
               f"ref {workload['reference_steps_per_s']:>12,} steps/s   "
               f"fast {workload['fastpath_steps_per_s']:>12,} steps/s   "
               f"{workload['speedup']}x")
-    trace = report["trace"]
-    print(f"trace compilation (worst fused speedup "
-          f"{trace['worst_fused_speedup']}x, target "
-          f"{TRACE_TARGET_SPEEDUP}x):")
-    for workload in trace["workloads"]:
-        print(f"  {workload['name']:14s} "
-              f"fast {workload['fastpath_steps_per_s']:>12,} steps/s   "
-              f"trace {workload['trace_steps_per_s']:>12,} steps/s   "
-              f"{workload['speedup_vs_fastpath']}x  "
-              f"({workload['blocks_fused']} blocks fused)")
     print(f"kernel chain: {report['kernel']['events_per_s']:,} events/s")
     fleet = report["fleet"]
     print(f"fleet metro-{fleet['nodes']}: "

@@ -146,7 +146,7 @@ class ShardDeployment:
     # ------------------------------------------------------- instrumentation
     def _wire_instrumentation(self) -> None:
         # The bulk variant keeps the counter identical when a
-        # fast-forward window or batch drain applies n events at once.
+        # fast-forward window applies n events at once.
         self.sim.add_trace_hook(self._on_sim_event, bulk=self._on_sim_events)
         for thing in self.things:
             thing.add_listener(
@@ -423,7 +423,7 @@ class ShardDeployment:
             self.metrics.gauge(f"energy.{category}_joules").add(joules)
         if self.samplers:
             # Folded in Thing order, so shard metrics are independent of
-            # whether ticks ran stepped, batched, or fast-forwarded.
+            # whether ticks ran stepped or fast-forwarded.
             self.metrics.inc("sampling.reads",
                              sum(s.count for s in self.samplers))
             self.metrics.inc("sampling.sum",

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from repro.sim.kernel import ns_from_ms
 
-#: Event names, shared with the kernel batch registry and the profiler.
+#: Event names of the two sampler cadences.
 SENSOR_EVENT = "sensor-sample"
 BASELINE_EVENT = "baseline-accrue"
 
@@ -112,9 +112,7 @@ def install_sampling(sim, things, config: SamplingConfig, first_id: int = 0):
 
     Returns ``(samplers, baselines)`` in Thing order, for final-stat
     folding.  ``first_id`` is the shard's first global Thing id, so LCG
-    seeds are fleet-unique.  Sampler events are also batch-registered:
-    with fast-forward off, the per-Thing cadences align across a shard,
-    so run_until drains each instant's K same-name events in one sweep.
+    seeds are fleet-unique.
     """
     sensor_ns = ns_from_ms(config.sensor_interval_ms)
     baseline_ns = ns_from_ms(config.baseline_interval_ms)
@@ -130,8 +128,6 @@ def install_sampling(sim, things, config: SamplingConfig, first_id: int = 0):
         sim.every(baseline_ns, accrual.tick, name=BASELINE_EVENT,
                   fast_forward=True, bulk=accrual.apply)
         baselines.append(accrual)
-    sim.register_batch(SENSOR_EVENT)
-    sim.register_batch(BASELINE_EVENT)
     return samplers, baselines
 
 

@@ -428,7 +428,7 @@ class GatewayBridge:
                         done: Callable[[], bool]) -> bool:
         """Drive one shard until *done* or the op deadline; True = done.
 
-        Chunked ``run_until`` keeps fast-forward/batching eligible while
+        Chunked ``run_until`` keeps fast-forward eligible while
         still stopping within a chunk of the completing event.
         """
         sim = deployment.sim

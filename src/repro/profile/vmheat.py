@@ -22,8 +22,7 @@ included):
 
 Offline analysis (:func:`opcode_totals`, :func:`basic_blocks`,
 :func:`hot_blocks`) decodes the stored code bytes against the hit
-arrays to rank hot opcodes and hot straight-line sequences — the direct
-input for the superinstruction item on the roadmap.
+arrays to rank hot opcodes and hot straight-line sequences.
 """
 
 from __future__ import annotations

@@ -179,11 +179,11 @@ class Simulator:
     #: attribute set changes shape.
     SNAPSHOT_SCHEMA = {
         "layer": "sim",
-        "version": 3,
+        "version": 4,
         "fields": ("_now_ns", "_seq", "_queue", "_tombstones", "_running",
                    "_trace_hooks", "_bulk_hooks", "tracer", "profiler",
                    "_ff_enabled", "_ff_skip_until", "ff_windows",
-                   "ff_events", "_batch_names"),
+                   "ff_events"),
     }
 
     def __init__(self) -> None:
@@ -200,8 +200,8 @@ class Simulator:
         self._trace_hooks: list[Callable[[int, str], None]] = []
         #: Parallel to ``_trace_hooks``: each slot is either None or a
         #: bulk variant ``hook(time_ns, name, n)`` whose effect must
-        #: equal n sequential per-event calls.  Fast-forward and batch
-        #: draining engage only when every registered hook has one.
+        #: equal n sequential per-event calls.  Fast-forward engages
+        #: only when every registered hook has one.
         self._bulk_hooks: list[Optional[Callable[[int, str, int], None]]] = []
         #: Closed-form idle fast-forward (see :meth:`run_until`).
         self._ff_enabled = False
@@ -212,8 +212,6 @@ class Simulator:
         #: Fast-forward statistics (windows applied / events skipped).
         self.ff_windows = 0
         self.ff_events = 0
-        #: Event names drained in batches: name -> contiguity slack_ns.
-        self._batch_names: dict[str, int] = {}
         #: Optional :class:`repro.obs.Tracer`.  None (the default)
         #: keeps every instrumentation point in the stack down to a
         #: single attribute check; the kernel's own hot paths carry no
@@ -360,17 +358,12 @@ class Simulator:
                 )
             return 0
         count = 0
-        # Fast-forward engages only for unbounded, untraced runs: a
-        # max_events cap would have to split windows, and a tracer's
-        # per-event records cannot be synthesized for skipped work.
+        # Fast-forward, the kernel's one optional speed tier, engages
+        # only for unbounded, untraced runs: a max_events cap would have
+        # to split windows, and a tracer's per-event records cannot be
+        # synthesized for skipped work.
         ff_ok = (self._ff_enabled and max_events is None
                  and self.tracer is None)
-        # Batch draining preserves per-event hook/callback semantics but
-        # not per-event profiler attribution, so it yields to both
-        # instrumentation modes.
-        batch = self._batch_names if (
-            self._batch_names and self.tracer is None
-            and self.profiler is None) else None
         bulk_ok: Optional[bool] = None
         # NOTE: ``self._queue`` must be re-read every iteration — any
         # callback can cancel events and trip ``_maybe_compact``, which
@@ -396,10 +389,6 @@ class Simulator:
                         continue
                 else:
                     ff_ok = False
-            if batch is not None and head.name in batch:
-                count += self._drain_batch(
-                    head_time, head.name, batch[head.name], time_ns)
-                continue
             self.step()
             count += 1
             if max_events is not None and count >= max_events:
@@ -654,39 +643,6 @@ class Simulator:
                 final[i] = (lt + interval, base + j)
         return seq
 
-    def _drain_batch(self, t0: int, name: str, slack_ns: int,
-                     target_ns: int) -> int:
-        """Pop the run of same-name events at ``t0`` (within
-        ``slack_ns``) in one sweep, then fire them in a tight loop.
-        Hook calls, clock updates and cancellation checks stay
-        per-event, so semantics are identical to stepping."""
-        queue = self._queue
-        run: list[_ScheduledEvent] = []
-        limit = min(t0 + slack_ns, target_ns)
-        while queue:
-            t, _, ev = queue[0]
-            if ev.cancelled:
-                heapq.heappop(queue)
-                ev.popped = True
-                self._tombstones -= 1
-                continue
-            if t > limit or ev.name != name:
-                break
-            heapq.heappop(queue)
-            ev.popped = True
-            run.append(ev)
-        hooks = self._trace_hooks
-        fired = 0
-        for ev in run:
-            if ev.cancelled:  # cancelled by an earlier event in the run
-                continue
-            self._now_ns = ev.time_ns
-            for hook in hooks:
-                hook(ev.time_ns, name)
-            ev.callback()
-            fired += 1
-        return fired
-
     def run_for(self, duration_ns: int, *, max_events: Optional[int] = None) -> int:
         """Run for ``duration_ns`` of simulated time from now."""
         return self.run_until(self._now_ns + int(duration_ns), max_events=max_events)
@@ -895,8 +851,8 @@ class Simulator:
         """Register a hook called (time_ns, event_name) before each event.
 
         ``bulk(time_ns, name, n)`` is the hook's aggregated variant; it
-        must equal n per-event calls.  Fast-forward windows and batch
-        drains stay disengaged until every registered hook has one.
+        must equal n per-event calls.  Fast-forward windows stay
+        disengaged until every registered hook has one.
         """
         self._trace_hooks.append(hook)
         self._bulk_hooks.append(bulk)
@@ -909,15 +865,6 @@ class Simulator:
 
     def disable_fast_forward(self) -> None:
         self._ff_enabled = False
-
-    def register_batch(self, name: str, *, slack_ns: int = 0) -> None:
-        """Drain runs of queued events named *name* at identical (or,
-        with ``slack_ns``, contiguous) timestamps through one tight
-        loop, amortizing heap and dispatch overhead.  Per-event hook
-        and callback semantics are preserved exactly."""
-        if not name:
-            raise SimulationError("batched events need a non-empty name")
-        self._batch_names[name] = int(slack_ns)
 
     def pending_count(self) -> int:
         """Number of not-yet-cancelled events still queued.  O(1)."""

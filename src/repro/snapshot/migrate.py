@@ -15,7 +15,7 @@ Two migration planes, mirroring Simics' checkpoint machinery:
   implementation routes its incoming state through
   :func:`upgrade_state`, so an old checkpoint whose ``sim`` layer was
   written at schema v1 can still restore into a tree whose Simulator
-  is at v3 — provided the 1→2 and 2→3 hooks exist.
+  is at v4 — provided the 1→2, 2→3 and 3→4 hooks exist.
 
 The built-in v1→v2 manifest migration documents the pattern: format v1
 manifests spelled the checkpoint instant ``time_ns``; v2 renamed it to
@@ -169,6 +169,13 @@ def _simulator_v2_to_v3(state: dict) -> dict:
     return state
 
 
+@register_state_migration("repro.sim.kernel.Simulator", 3)
+def _simulator_v3_to_v4(state: dict) -> dict:
+    """Sim schema v4 removed batched dispatch and its name registry."""
+    state.pop("_batch_names", None)
+    return state
+
+
 @register_state_migration("repro.vm.machine.VirtualMachine", 1)
 def _vm_v1_to_v2(state: dict) -> dict:
     """VM schema v2 added the optional ``_hit_recorder``."""
@@ -181,6 +188,15 @@ def _vm_v2_to_v3(state: dict) -> dict:
     """VM schema v3 allows mode == "trace" (superinstruction
     compilation); old states carry "fast"/"reference" and need no
     value changes."""
+    return state
+
+
+@register_state_migration("repro.vm.machine.VirtualMachine", 3)
+def _vm_v3_to_v4(state: dict) -> dict:
+    """VM schema v4 removed the "trace" engine.  It was trap-for-trap
+    and cycle-identical to "fast", which therefore replaces it."""
+    if state.get("_mode") == "trace":
+        state["_mode"] = "fast"
     return state
 
 

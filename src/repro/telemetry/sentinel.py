@@ -80,13 +80,11 @@ DEFAULT_SENTINEL_RULES: Tuple[SentinelRule, ...] = (
     SentinelRule("*deterministic", direction="equal"),
     SentinelRule("*idle_fraction", direction="higher", tolerance=0.25),
     SentinelRule("*skippable_fraction", direction="higher", tolerance=0.25),
-    # Fast-forward / trace-compilation tier: more analytically skipped
-    # work and more compiled traces are better; events_per_s_ff is the
-    # FF-on throughput headline.
+    # Fast-forward tier: more analytically skipped work is better;
+    # events_per_s_ff is the FF-on throughput headline.
     SentinelRule("*events_per_s_ff", direction="higher", tolerance=0.15),
     SentinelRule("*ff_windows_skipped", direction="higher", tolerance=0.25),
     SentinelRule("*ff_events_skipped", direction="higher", tolerance=0.25),
-    SentinelRule("*traces_compiled", direction="higher", tolerance=0.25),
     # Gateway service tier: user-facing request throughput up is good,
     # tail latency and error rate down are good.
     SentinelRule("*requests_per_s", direction="higher", tolerance=0.20),

@@ -159,26 +159,21 @@ class VirtualMachine:
     * ``mode="fast"`` (the default) runs the pre-decoded threaded
       dispatch from :mod:`repro.vm.fastpath` — bytecode is translated
       once per image and cached, then executed with no per-step decode.
-    * ``mode="trace"`` layers superinstruction compilation from
-      :mod:`repro.vm.tracecomp` on the threaded tables: hot basic
-      blocks run as single fused closures, trap-for-trap identical.
     * ``mode="reference"`` runs the original decode-as-you-go
       interpreter below; it is the executable specification the
-      differential test checks both compiled engines against.
+      differential test checks the fast engine against.
 
     The ``REPRO_VM_MODE`` environment variable overrides the default
-    for whole-process runs (fleet workers inherit it), and
-    ``REPRO_VM_TRACE=1`` promotes the default "fast" engine to
-    "trace" without touching an explicit mode choice.
+    for whole-process runs (fleet workers inherit it).
     """
 
     #: Checkpoint contract: the id-keyed translation map is derived
     #: state and is rebuilt lazily after restore, never serialized.
     #: v2 added the optional ``_hit_recorder`` (opcode heat profiling);
-    #: v3 admits mode == "trace" (superinstruction compilation).
+    #: v4 dropped mode "trace" (v3 states migrate it to "fast").
     SNAPSHOT_SCHEMA = {
         "layer": "vm",
-        "version": 3,
+        "version": 4,
         "fields": ("_profile", "_stack_limit", "_step_limit", "_mode",
                    "_hit_recorder"),
     }
@@ -193,9 +188,7 @@ class VirtualMachine:
     ) -> None:
         if mode is None:
             mode = os.environ.get("REPRO_VM_MODE", "fast")
-            if mode == "fast" and os.environ.get("REPRO_VM_TRACE") == "1":
-                mode = "trace"
-        if mode not in ("fast", "reference", "trace"):
+        if mode not in ("fast", "reference"):
             raise ValueError(f"unknown VM mode: {mode!r}")
         self._profile = profile
         self._stack_limit = stack_limit
@@ -212,21 +205,14 @@ class VirtualMachine:
         self._bind_engine()
 
     def _bind_engine(self) -> None:
-        """Select the compiled execution engine for the current mode and
-        instrumentation.  A hit recorder wins over trace compilation:
-        opcode-heat profiling needs per-instruction counts, which fused
-        blocks do not produce, so profiled runs drop back to the
-        counting copy of the plain threaded loop."""
+        """Select the fast engine's loop: the counting copy while a hit
+        recorder is attached, the plain threaded loop otherwise."""
         if self._mode == "reference":
             return
         if self._hit_recorder is not None:
             from repro.profile.vmheat import execute_fast_counting
 
             self._execute_fast = execute_fast_counting
-        elif self._mode == "trace":
-            from repro.vm.tracecomp import execute_traced
-
-            self._execute_fast = execute_traced
         else:
             from repro.vm import fastpath
 
@@ -252,15 +238,11 @@ class VirtualMachine:
         counts agree trap-for-trap.
         """
         self._hit_recorder = recorder
-        # The counting engine reads plain translations; drop any traced
-        # tables this VM cached so the swap can never mix entry kinds.
-        self._translations = {}
         self._bind_engine()
 
     def detach_hit_recorder(self) -> None:
         """Stop counting; restore the uninstrumented engine."""
         self._hit_recorder = None
-        self._translations = {}
         self._bind_engine()
 
     # ------------------------------------------------------------ checkpoint

@@ -245,25 +245,6 @@ def test_checkpoint_mid_run_rederives_windows():
     assert restored_sim.ff_windows > sim.ff_windows
 
 
-def test_batched_dispatch_preserves_order():
-    def build(batch: bool):
-        sim = Simulator()
-        log = []
-        for t in (5, 5, 5, 9, 9):
-            for i in range(4):
-                sim.schedule(t * NS_PER_MS,
-                             lambda t=t, i=i: log.append((t, i, sim.now_ns)),
-                             name="burst")
-        sim.schedule(7 * NS_PER_MS, lambda: log.append(("mid", sim.now_ns)),
-                     name="other")
-        if batch:
-            sim.register_batch("burst")
-        sim.run()
-        return log
-
-    assert build(True) == build(False)
-
-
 def test_periodic_handle_restores_from_pre_ff_checkpoints():
     # __setstate__ must default the certification slots when they are
     # absent (checkpoints written before the fast-forward tier).

@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+from repro.analysis.vmperf import _encode, _i, _image_for
+from repro.dsl.bytecode import Op
 from repro.fleet.deployment import ShardDeployment
 from repro.fleet.scenario import SCENARIOS
-from repro.sim.kernel import ns_from_s
+from repro.sim.kernel import Simulator, ns_from_ms, ns_from_s
 from repro.sim.rng import RngRegistry
 from repro.snapshot.checkpoint import (
     FORMAT_VERSION,
@@ -22,6 +24,8 @@ from repro.snapshot.checkpoint import (
 from repro.snapshot.diff import diff_documents, diff_lines
 from repro.snapshot.migrate import register_state_migration, upgrade_state
 from repro.snapshot.state import layer_schemas, schema_hash, shard_summary
+from repro.vm import fastpath
+from repro.vm.machine import DriverInstance, VirtualMachine
 
 
 def _small_deployment():
@@ -154,6 +158,33 @@ def test_missing_migration_step_is_an_error():
 
     with pytest.raises(CheckpointError):
         upgrade_state(Gadget, {"_schema": 1, "value": 1})
+
+
+def test_v3_states_with_removed_tiers_restore_and_run():
+    sim = Simulator()
+    fired = []
+    sim.every(ns_from_ms(1), lambda: fired.append(sim.now_ns),
+              name="sensor-sample")
+    state = sim.snapshot_state()
+    state["_schema"] = 3
+    state["_batch_names"] = {"sensor-sample": 0}
+    sim.restore_state(state)
+    assert "_batch_names" not in sim.__dict__
+    assert sim.run_until(ns_from_ms(3)) == 3
+    assert fired == [ns_from_ms(1), ns_from_ms(2), ns_from_ms(3)]
+
+    state = VirtualMachine().snapshot_state()
+    state["_schema"] = 3
+    state["_mode"] = "trace"
+    vm = VirtualMachine.__new__(VirtualMachine)
+    vm.restore_state(state)
+    assert vm.mode == "fast"
+    assert vm._execute_fast is fastpath.execute_fast
+    image = _image_for(_encode(_i(Op.PUSH8, 2), _i(Op.PUSH8, 3), _i(Op.ADD),
+                               _i(Op.STG, 0), _i(Op.RET)), n_params=0)
+    instance = DriverInstance(image)
+    vm.execute(instance, image.handlers[0])
+    assert instance.globals[0] == 5
 
 
 def test_scenario_round_trips_through_dict():

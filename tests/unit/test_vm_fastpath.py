@@ -87,6 +87,15 @@ def test_env_var_overrides_default_mode(monkeypatch):
     assert VirtualMachine(mode="fast").mode == "fast"
 
 
+def test_trace_env_var_no_longer_promotes_fast(monkeypatch):
+    # The removed trace engine can be neither chosen nor promoted to.
+    with pytest.raises(ValueError, match="unknown VM mode"):
+        VirtualMachine(mode="trace")
+    monkeypatch.delenv("REPRO_VM_MODE", raising=False)
+    monkeypatch.setenv("REPRO_VM_TRACE", "1")
+    assert VirtualMachine().mode == "fast"
+
+
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError, match="unknown VM mode"):
         VirtualMachine(mode="turbo")
