@@ -6,7 +6,8 @@ machine in the same run:
 1. What does one shard checkpoint cost (``save_s``) and how fast does
    it come back (``restore_s``)?
 2. How big is a checkpoint on disk — total and per simulated node —
-   after the codec's zlib envelope?
+   in the codec's envelope (zlib'd structure plus the RNG stream
+   words stored raw, since they do not compress)?
 3. How much wall clock does resuming from a late checkpoint save over
    rerunning from scratch (``resume_speedup``), and is the resumed
    run byte-identical (``parity``)?

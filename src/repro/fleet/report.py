@@ -29,8 +29,10 @@ def render_report(result: FleetResult) -> str:
         f"{scenario.duration_s:g} s simulated, seed {scenario.seed}"
     )
     mode = "process pool" if result.used_processes else "serial"
+    clamp = ("" if result.workers == result.workers_requested
+             else f" of {result.workers_requested} requested")
     lines.append(
-        f"executed with {result.workers} worker(s) [{mode}] in "
+        f"executed with {result.workers} worker(s){clamp} [{mode}] in "
         f"{result.wall_s:.2f} s wall ({result.events_per_s:,.0f} sim events/s)"
     )
     if result.ff_windows_skipped:
@@ -78,6 +80,7 @@ def result_to_json(result: FleetResult) -> dict:
         "scenario": asdict(result.scenario),
         "execution": {
             "workers": result.workers,
+            "workers_requested": result.workers_requested,
             "used_processes": result.used_processes,
             "wall_s": result.wall_s,
             "sim_events": result.sim_events,

@@ -10,11 +10,14 @@ parallel path works under any multiprocessing start method.
 The merge happens in shard-index order whether shards ran serially or
 on a :class:`~concurrent.futures.ProcessPoolExecutor`, which makes the
 merged metrics a pure function of ``(scenario, seed)`` — identical for
-any ``workers`` setting.
+any ``workers`` setting.  The pool never gets more workers than there
+are CPUs or shards: a run uses ``min(requested, os.cpu_count(), shards)``
+and records both counts.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -167,6 +170,8 @@ class FleetResult:
     ``merged`` is deterministic for a given scenario; the wall-clock
     fields describe this particular execution and are kept out of the
     metrics so determinism checks compare apples to apples.
+    ``workers`` is the count the run used, ``workers_requested`` the
+    count the caller asked for (see :func:`effective_workers`).
     """
 
     scenario: FleetScenario
@@ -175,6 +180,7 @@ class FleetResult:
     workers: int = 1
     wall_s: float = 0.0
     used_processes: bool = False
+    workers_requested: int = 1
 
     @property
     def sim_events(self) -> int:
@@ -252,15 +258,22 @@ class FleetResult:
         return merge_profiles(self.profile_snapshots)
 
 
+def effective_workers(requested: int, shards: int) -> int:
+    """Workers a run uses: ``min(requested, os.cpu_count(), shards)``.
+
+    More processes than CPUs only adds pool start-up and contention,
+    and more than shards leaves workers idle.
+    """
+    return max(1, min(int(requested), os.cpu_count() or 1, shards))
+
+
 def _fan_out(tasks, workers: int):
-    """Run ``(fn, arg)`` pairs serially or on a process pool, preserving
-    order; returns (results, used_processes)."""
-    if workers == 1 or len(tasks) == 1:
+    """Run ``(fn, arg)`` pairs serially or on a pool of *workers*
+    processes, preserving order; returns (results, used_processes)."""
+    if workers == 1:
         return [fn(arg) for fn, arg in tasks], False
     try:
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(tasks))
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             # Executor.map preserves input order regardless of
             # completion order — merge order stays deterministic.
             futures = [pool.submit(fn, arg) for fn, arg in tasks]
@@ -279,8 +292,9 @@ def run_scenario(
 ) -> FleetResult:
     """Run every shard of *scenario* and merge their metrics.
 
-    ``workers > 1`` fans shards out over a process pool (falling back
-    to the serial path if the pool cannot be created or dies); shard
+    ``workers > 1`` fans shards out over a process pool of
+    :func:`effective_workers` processes (falling back to the serial
+    path if the pool cannot be created or dies); shard
     results are always merged in shard-index order.  A
     :class:`CheckpointPlan` makes every shard write checkpoints at the
     planned instants; the fleet-level metadata lands next to them so
@@ -289,7 +303,8 @@ def run_scenario(
     import functools
 
     specs = scenario.shards()
-    workers = max(1, int(workers))
+    requested = max(1, int(workers))
+    workers = effective_workers(requested, len(specs))
     started = time.perf_counter()
     worker = run_shard if checkpoint is None else functools.partial(
         run_shard, plan=checkpoint)
@@ -337,6 +352,7 @@ def run_scenario(
         workers=workers,
         wall_s=wall,
         used_processes=used_processes,
+        workers_requested=requested,
     )
 
 
@@ -375,7 +391,8 @@ def resume_scenario(
             f"{meta['sim_time_ns'] / 1e9:g}s"
         )
     shard_dirs = fleet_checkpoint_dirs(checkpoint_dir)
-    workers = max(1, int(workers))
+    requested = max(1, int(workers))
+    workers = effective_workers(requested, len(shard_dirs))
     started = time.perf_counter()
     worker = functools.partial(resume_shard, run_to_s=horizon_s)
     snapshots, used_processes = _fan_out(
@@ -388,12 +405,14 @@ def resume_scenario(
         workers=workers,
         wall_s=wall,
         used_processes=used_processes,
+        workers_requested=requested,
     )
 
 
 __all__ = [
     "CheckpointPlan",
     "FleetResult",
+    "effective_workers",
     "live_shards",
     "resume_scenario",
     "resume_shard",

@@ -18,7 +18,9 @@ place, all non-random state shared).
 The smoke gate is the digest-parity check from ISSUE 6: checkpoint at
 T, restore, run to T+Δ, and require merged metrics and telemetry to be
 byte-identical to an uninterrupted run — at worker counts 1 and 2 —
-plus migration acceptance (v1 manifest) and rejection (future format).
+plus cross-version restore (shards whose payloads use the codec-v1
+envelope restore, pass the audit and run on to the same digest),
+migration acceptance (v1 manifest) and rejection (future format).
 """
 
 from __future__ import annotations
@@ -169,6 +171,7 @@ def _cmd_fork(args) -> int:
 
 
 def _cmd_smoke(args) -> int:
+    import hashlib
     import shutil
     import tempfile
 
@@ -184,6 +187,7 @@ def _cmd_smoke(args) -> int:
         fleet_checkpoint_dirs,
         read_manifest,
     )
+    from repro.snapshot.codec import _dumps_state_v1, loads_state
     from repro.telemetry.config import TelemetryConfig
 
     failures = []
@@ -192,6 +196,7 @@ def _cmd_smoke(args) -> int:
         telemetry=TelemetryConfig(cadence_s=1.0),
     )
     root = Path(tempfile.mkdtemp(prefix="repro-snapshot-smoke-"))
+    uninterrupted = {}
     try:
         for workers in (1, 2):
             ckpt = root / f"ckpt-w{workers}"
@@ -211,6 +216,7 @@ def _cmd_smoke(args) -> int:
                     baseline.telemetry_document()),
                 "resumed": digest_document(resumed.telemetry_document()),
             }
+            uninterrupted[workers] = digests["uninterrupted"]
             if len(set(digests.values())) == 1:
                 print(f"workers={workers}: metrics parity ok "
                       f"({digests['resumed'][:16]})")
@@ -223,8 +229,33 @@ def _cmd_smoke(args) -> int:
                 failures.append(
                     f"workers={workers}: telemetry diverges: {telemetry}")
 
-        # Migration acceptance: a v1 manifest must load via the hook.
+        # Cross-version restore: shards whose state.bin is a codec-v1
+        # payload restore, pass load_shard's audit (inside
+        # resume_scenario) and run on to the uninterrupted digest.
         ckpt = root / "ckpt-w1"
+        legacy = root / "ckpt-codec-v1"
+        shutil.copytree(ckpt, legacy)
+        for shard_dir in fleet_checkpoint_dirs(legacy):
+            state_path = shard_dir / "state.bin"
+            payload = _dumps_state_v1(loads_state(state_path.read_bytes()))
+            state_path.write_bytes(payload)
+            manifest_path = shard_dir / "manifest.json"
+            manifest = json.loads(manifest_path.read_text())
+            manifest["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+            manifest_path.write_text(json.dumps(manifest, indent=2))
+        try:
+            digest = digest_document(resume_scenario(legacy).merged)
+        except (CheckpointError, ValueError) as exc:
+            failures.append(f"codec-v1 checkpoint did not restore: {exc}")
+        else:
+            if digest == uninterrupted[1]:
+                print(f"codec-v1 payload restore: ok ({digest[:16]})")
+            else:
+                failures.append(
+                    f"codec-v1 checkpoint diverges: {digest[:16]} != "
+                    f"{uninterrupted[1][:16]}")
+
+        # Migration acceptance: a v1 manifest must load via the hook.
         shard0 = fleet_checkpoint_dirs(ckpt)[0]
         manifest_path = shard0 / "manifest.json"
         manifest = json.loads(manifest_path.read_text())

@@ -5,7 +5,8 @@ One checkpoint is one directory::
     <dir>/
       manifest.json   format version, python tag, per-layer schema
                       hashes, seed, sim time, shard id, payload digest
-      state.bin       the full shard graph (codec envelope, compressed)
+      state.bin       the full shard graph (codec envelope: zlib'd
+                      structure, then raw RNG stream words)
       summary.json    plain-data structural summary (diff / audit)
 
 A fleet checkpoint is a directory of shard checkpoints plus a

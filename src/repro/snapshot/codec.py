@@ -19,7 +19,11 @@ pickle cannot serialize by reference:
   cycles through cells memoize correctly), then the cells are filled
   from the pickled state;
 * **cells** encountered outside a function (rare, but legal);
-* **modules** captured in cells — reduced to an import by name.
+* **modules** captured in cells — reduced to an import by name;
+* **RNG streams** (exactly :class:`random.Random`) — reduced to their
+  624 Mersenne Twister words plus index, packed little-endian into a
+  :class:`pickle.PickleBuffer` that travels *out of band*, and the
+  ``gauss_next`` carry in band.
 
 Function ``__globals__`` are never serialized by value: a function is
 re-bound to its defining module's live namespace on load, so the code
@@ -31,11 +35,26 @@ Because :mod:`marshal`'s bytecode format is interpreter-specific,
 checkpoints record the Python version and refuse to load under a
 different ``major.minor`` (see :mod:`repro.snapshot.checkpoint`).
 
-Shared-object identity is preserved by pickle's memo: two references
-to the same RNG stream, Thing or metrics object come back as two
-references to the same restored object — without this, a restored
-shard's closures would draw from different streams than its registry
-and the run would silently diverge.
+**Envelope.**  Entropy and structure take separate paths.  A shard
+carries one ``random.Random`` per stochastic model (a 300-Thing fleet
+holds ~1,900), and their state is near-random words that zlib cannot
+shrink: pickled in band they were ~75% of the raw payload and zlib
+compressed the whole payload only ~1.5×.  So the pickle stream proper
+(the structure) is zlib-compressed, and the stream words follow it
+raw::
+
+    RSNAP\x02 | <Q in-band length> <I buffer count> <I length>*count
+               | zlib(in-band pickle) | buffer 0 | buffer 1 | ...
+
+Payloads of the first codec version (``RSNAP\x01`` + ``zlib(pickle)``,
+stream words in band) still load.
+
+Shared-object identity is preserved by pickle's memo — the stream
+reducer included, since a reduced object is memoized like any other:
+two references to the same RNG stream, Thing or metrics object come
+back as two references to the same restored object.  Without this, a
+restored shard's closures would draw from different streams than its
+registry and the run would silently diverge.
 
 Like pickle, ``loads_state`` executes constructors referenced by the
 stream: only load checkpoints you (or your CI) wrote.
@@ -47,6 +66,8 @@ import importlib
 import io
 import marshal
 import pickle
+import random
+import struct
 import sys
 import types
 import zlib
@@ -54,11 +75,19 @@ from typing import Any
 
 #: Bump when the *codec envelope* changes incompatibly (the layer
 #: schemas carried inside are versioned separately).
-CODEC_VERSION = 1
+CODEC_VERSION = 2
 
 #: Envelope magic: identifies a repro snapshot payload and its codec
 #: major version before any unpickling happens.
-_MAGIC = b"RSNAP\x01"
+_MAGIC = b"RSNAP" + bytes([CODEC_VERSION])
+_MAGIC_V1 = b"RSNAP\x01"
+
+#: v2 header after the magic: in-band (compressed) length, buffer
+#: count; then one ``<I`` length per out-of-band buffer.
+_HEADER = struct.Struct("<QI")
+
+#: One Mersenne Twister stream: 624 state words plus the index.
+_MT_WORDS = struct.Struct("<625I")
 
 
 class _EmptyCell:
@@ -110,6 +139,14 @@ def _make_cell(value: Any) -> types.CellType:
 
 def _make_empty_cell() -> types.CellType:
     return types.CellType()
+
+
+def _make_random(words, gauss_next) -> random.Random:
+    """Rebuild a stream from :data:`_MT_WORDS`-packed state."""
+    rng = random.Random.__new__(random.Random)
+    rng.setstate((random.Random.VERSION, _MT_WORDS.unpack(words),
+                  gauss_next))
+    return rng
 
 
 def _importable(obj: Any) -> bool:
@@ -166,31 +203,93 @@ class SnapshotPickler(pickle.Pickler):
                 return (_make_empty_cell, ())
         if isinstance(obj, types.ModuleType):
             return (importlib.import_module, (obj.__name__,))
+        if type(obj) is random.Random:
+            # Subclasses may carry more state; they pickle as stdlib does.
+            _, words, gauss_next = obj.getstate()
+            return (_make_random,
+                    (pickle.PickleBuffer(_MT_WORDS.pack(*words)), gauss_next))
         return NotImplemented
 
 
 def dumps_state(obj: Any) -> bytes:
     """Serialize *obj* (a full shard graph or any sub-graph) to bytes.
 
-    The payload is zlib-compressed behind a magic/version envelope;
-    checkpoints of idle duty-cycled fleets are dominated by repetitive
-    structure and compress several-fold.
+    The in-band pickle (structure) is zlib-compressed; the RNG stream
+    words travel out of band and are appended raw (see the module
+    docstring for the envelope).
     """
-    buffer = io.BytesIO()
-    SnapshotPickler(buffer, protocol=5).dump(obj)
-    return _MAGIC + zlib.compress(buffer.getvalue(), 6)
+    stream = io.BytesIO()
+    buffers: list = []
+    SnapshotPickler(stream, protocol=5,
+                    buffer_callback=buffers.append).dump(obj)
+    inband = zlib.compress(stream.getbuffer(), 6)
+    lengths = [buf.raw().nbytes for buf in buffers]
+    header = _HEADER.pack(len(inband), len(buffers)) + struct.pack(
+        f"<{len(lengths)}I", *lengths)
+    return b"".join([_MAGIC, header, inband, *buffers])
+
+
+class _V1Pickler(SnapshotPickler):
+    """The codec-v1 pickler: streams pickled in band, as stdlib does."""
+
+    def reducer_override(self, obj):
+        if type(obj) is random.Random:
+            return NotImplemented
+        return super().reducer_override(obj)
+
+
+def _dumps_state_v1(obj: Any) -> bytes:
+    """A codec-v1 payload of *obj*, for the backward-compatibility gates."""
+    stream = io.BytesIO()
+    _V1Pickler(stream, protocol=5).dump(obj)
+    return _MAGIC_V1 + zlib.compress(stream.getvalue(), 6)
+
+
+def _split_v2(blob: bytes):
+    """Validate a v2 envelope; return (in-band bytes, buffer views)."""
+    view = memoryview(blob)
+    offset = len(_MAGIC) + _HEADER.size
+    if len(view) < offset:
+        raise ValueError("snapshot payload truncated inside its header")
+    inband_len, count = _HEADER.unpack_from(view, len(_MAGIC))
+    lengths_end = offset + 4 * count
+    if len(view) < lengths_end:
+        raise ValueError("snapshot payload truncated inside its header")
+    lengths = struct.unpack_from(f"<{count}I", view, offset)
+    expected = lengths_end + inband_len + sum(lengths)
+    if len(view) != expected:
+        kind = "truncated" if len(view) < expected else "has trailing bytes"
+        raise ValueError(
+            f"snapshot payload {kind}: {len(view)} bytes, header "
+            f"describes {expected}")
+    inband = view[lengths_end:lengths_end + inband_len]
+    views = []
+    offset = lengths_end + inband_len
+    for length in lengths:
+        views.append(view[offset:offset + length])
+        offset += length
+    return inband, views
 
 
 def loads_state(blob: bytes) -> Any:
-    """Inverse of :func:`dumps_state`."""
-    if not blob.startswith(_MAGIC[:-1]):
+    """Inverse of :func:`dumps_state`; also reads codec-v1 payloads."""
+    if len(blob) < len(_MAGIC) or not blob.startswith(_MAGIC[:-1]):
         raise ValueError("not a repro snapshot payload (bad magic)")
-    if blob[: len(_MAGIC)] != _MAGIC:
+    magic = blob[: len(_MAGIC)]
+    if magic == _MAGIC:
+        inband, buffers = _split_v2(blob)
+    elif magic == _MAGIC_V1:
+        inband, buffers = blob[len(_MAGIC_V1):], ()
+    else:
         raise ValueError(
             f"snapshot codec version {blob[len(_MAGIC) - 1]} not supported "
-            f"(this tree speaks {CODEC_VERSION})"
+            f"(this tree reads 1 and {CODEC_VERSION})"
         )
-    return pickle.loads(zlib.decompress(blob[len(_MAGIC):]))
+    try:
+        data = zlib.decompress(inband)
+    except zlib.error as exc:
+        raise ValueError(f"snapshot payload corrupt: {exc}") from exc
+    return pickle.loads(data, buffers=buffers)
 
 
 __all__ = [

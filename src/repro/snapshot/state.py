@@ -138,11 +138,22 @@ def _sim_summary(sim) -> dict:
     return out
 
 
+def _rng_state_digest(stream) -> str:
+    """``_digest(repr(stream.getstate()))``, without ``json.dumps``.
+
+    The repr of a stream state (ints, a float or None) is pure ASCII
+    with no quotes or backslashes, so its JSON encoding is the repr in
+    double quotes: the same bytes, at a fraction of the cost.
+    """
+    blob = '"' + repr(stream.getstate()) + '"'
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
 def _rng_summary(registry, prefix: str = "") -> Dict[str, str]:
     """Flat ``path -> state digest`` map over a registry tree."""
     out: Dict[str, str] = {}
     for name, stream in sorted(registry.streams().items()):
-        out[f"{prefix}{name}"] = _digest(repr(stream.getstate()))
+        out[f"{prefix}{name}"] = _rng_state_digest(stream)
     for name, child in sorted(registry.children().items()):
         out.update(_rng_summary(child, prefix=f"{prefix}{name}/"))
     return out

@@ -6,7 +6,14 @@ import pickle
 import pytest
 
 from repro.fleet.metrics import Metrics
-from repro.fleet.runner import FleetResult, run_scenario, run_shard
+from repro.fleet.runner import (
+    CheckpointPlan,
+    FleetResult,
+    effective_workers,
+    resume_scenario,
+    run_scenario,
+    run_shard,
+)
 from repro.fleet.scenario import SCENARIOS, ChurnProfile, FleetScenario
 
 #: Small but real: every churn process fires at least once.
@@ -126,6 +133,26 @@ def test_run_scenario_merged_metrics_independent_of_workers():
     serial = run_scenario(TINY, workers=1)
     parallel = run_scenario(TINY, workers=2)
     assert serial.merged == parallel.merged
+
+
+def test_workers_clamp_to_cpus_and_shards(monkeypatch, tmp_path):
+    parallel = run_scenario(TINY, workers=2)
+    monkeypatch.setattr("repro.fleet.runner.os.cpu_count", lambda: 1)
+    clamped = run_scenario(
+        TINY, workers=4,
+        checkpoint=CheckpointPlan(directory=str(tmp_path), at_s=3.0))
+    assert not clamped.used_processes
+    assert (clamped.workers, clamped.workers_requested) == (1, 4)
+    assert clamped.merged == parallel.merged
+    resumed = resume_scenario(tmp_path, workers=3)
+    assert not resumed.used_processes
+    assert (resumed.workers, resumed.workers_requested) == (1, 3)
+    assert resumed.merged == parallel.merged
+
+    monkeypatch.setattr("repro.fleet.runner.os.cpu_count", lambda: 16)
+    assert effective_workers(8, TINY.shard_count) == TINY.shard_count
+    monkeypatch.setattr("repro.fleet.runner.os.cpu_count", lambda: None)
+    assert effective_workers(8, TINY.shard_count) == 1
 
 
 def test_seed_changes_the_run():

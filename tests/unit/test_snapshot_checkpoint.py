@@ -1,6 +1,7 @@
 """Unit tests for checkpoint manifests, migrations, diff and fork."""
 
 import json
+import random
 
 import pytest
 
@@ -23,7 +24,13 @@ from repro.snapshot.checkpoint import (
 )
 from repro.snapshot.diff import diff_documents, diff_lines
 from repro.snapshot.migrate import register_state_migration, upgrade_state
-from repro.snapshot.state import layer_schemas, schema_hash, shard_summary
+from repro.snapshot.state import (
+    _digest,
+    _rng_state_digest,
+    layer_schemas,
+    schema_hash,
+    shard_summary,
+)
 from repro.vm import fastpath
 from repro.vm.machine import DriverInstance, VirtualMachine
 
@@ -223,6 +230,18 @@ def test_rng_registry_state_round_trip():
     other.restore_state(state)
     assert other.stream("noise").random() == expected
     assert "node" in other.children()
+
+
+def test_rng_state_digest_equals_json_digest_of_repr():
+    fresh = random.Random(1)
+    drawn = random.Random(2)
+    for _ in range(1000):
+        drawn.random()
+    gaussian = random.Random(3)
+    gaussian.gauss(0.0, 1.0)
+    assert gaussian.gauss_next is not None
+    for stream in (fresh, drawn, gaussian):
+        assert _rng_state_digest(stream) == _digest(repr(stream.getstate()))
 
 
 def test_rng_restore_preserves_stream_identity():
