@@ -52,6 +52,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.drivers.catalog import CATALOG
+from repro.dsl.types import INT32_MAX, INT32_MIN
 from repro.fleet.deployment import ShardDeployment
 from repro.fleet.metrics import Metrics
 from repro.fleet.runner import live_shards
@@ -428,16 +429,25 @@ class GatewayBridge:
                         done: Callable[[], bool]) -> bool:
         """Drive one shard until *done* or the op deadline; True = done.
 
-        Chunked ``run_until`` keeps fast-forward eligible while
-        still stopping within a chunk of the completing event.
+        One stop-aware ``run_until`` runs the op to its completing
+        event, so fast-forward windows span the whole op.  The shard
+        then runs on to the end of the chunk that holds the completion:
+        chunks are ``max(quantum, 2 ms)`` long, counted from the shard
+        clock on entry, and the last one ends at the deadline.  That
+        keeps every op's end instant, and so its ``sim_latency_ns``
+        and the fleet digest, on the chunk grid.
         """
         sim = deployment.sim
+        if done():
+            return True
         deadline = start_ns + self.op_timeout_ns
+        origin = sim.now_ns
+        sim.run_until(deadline, until=done)
+        if not done():
+            return False
         chunk = max(self.quantum_ns, 2 * NS_PER_MS)
-        while not done():
-            if sim.now_ns >= deadline:
-                return done()
-            sim.run_until(min(deadline, sim.now_ns + chunk))
+        chunks = max(1, -(-(sim.now_ns - origin) // chunk))
+        sim.run_until(min(deadline, origin + chunks * chunk))
         return True
 
     def _resolve(self, op: Op):
@@ -537,6 +547,11 @@ class GatewayBridge:
             return OpResult(404, {"error": f"no such thing: {op.thing}"})
         if op.value is None:
             return OpResult(400, {"error": "write needs a 'value'"})
+        if not INT32_MIN <= int(op.value) <= INT32_MAX:
+            # The protocol packs write values as signed int32.  Reject
+            # before admission: a rejected op must not touch the sim.
+            return OpResult(400, {"error": "write 'value' must fit a "
+                                           "signed 32-bit integer"})
         key = op.name[:-len("-write")] if op.name.endswith("-write") else op.name
         device_id = self._property_device(thing, key)
         if device_id is None:

@@ -340,7 +340,8 @@ class Simulator:
         return count
 
     def run_until(self, time_ns: int, *, max_events: Optional[int] = None,
-                  strict: bool = True) -> int:
+                  strict: bool = True,
+                  until: Optional[Callable[[], bool]] = None) -> int:
         """Run events with timestamps <= ``time_ns``; advance clock to it.
 
         Events scheduled exactly at ``time_ns`` do fire.  A target
@@ -348,6 +349,14 @@ class Simulator:
         ``strict=False`` it clamps to now instead (runs nothing,
         returns 0) — convenient for replay drivers that feed
         already-passed instants.
+
+        ``until`` is a stop predicate, checked after every stepped
+        event and after every applied fast-forward window.  Once it is
+        true the run returns at once: later events (even at the same
+        instant) stay queued and the clock stays at the last event
+        run, not at ``time_ns``.  Windows still span up to the next
+        non-certified event, so a predicate that only non-certified
+        events can flip is never skipped past.
         """
         time_ns = int(time_ns)
         if time_ns < self._now_ns:
@@ -386,12 +395,16 @@ class Simulator:
                     skipped = self._fast_forward_window(time_ns)
                     if skipped:
                         count += skipped
+                        if until is not None and until():
+                            return count
                         continue
                 else:
                     ff_ok = False
             self.step()
             count += 1
             if max_events is not None and count >= max_events:
+                return count
+            if until is not None and until():
                 return count
         self._now_ns = max(self._now_ns, time_ns)
         return count

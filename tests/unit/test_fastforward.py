@@ -210,6 +210,48 @@ def test_suppression_marker_keeps_tiny_windows_correct():
     assert build(True) == build(False)
 
 
+def _queue_keys(sim) -> list:
+    return sorted((t, s, ev.name) for t, s, ev in sim._queue
+                  if not ev.cancelled)
+
+
+@pytest.mark.parametrize("stop_after", [1, 3, 8])
+def test_until_on_a_barrier_event_matches_stepping(stop_after):
+    # The predicate flips on an uncertified (barrier) event, so no
+    # window may run past it: state, the sequence counter and every
+    # re-pushed (time, seq) key must equal plain stepping's.
+    horizon = 2_000 * NS_PER_MS
+    worlds = [_world(fast_forward=ff) for ff in (False, True)]
+    for sim, _, _, _, barriers in worlds:
+        sim.run_until(horizon,
+                      until=lambda b=barriers: len(b) >= stop_after)
+        assert sim.now_ns == stop_after * 50 * NS_PER_MS
+    off, on = worlds
+    assert _observable(*on) == _observable(*off)
+    assert _queue_keys(on[0]) == _queue_keys(off[0])
+    assert on[0].ff_windows > 0
+    # And the two continue identically to the horizon.
+    off[0].run_until(horizon)
+    on[0].run_until(horizon)
+    assert _observable(*on) == _observable(*off)
+    assert _queue_keys(on[0]) == _queue_keys(off[0])
+
+
+def test_until_is_checked_after_each_applied_window():
+    # A predicate over certified state is seen at window granularity:
+    # the run returns after the window that made it true, with the
+    # clock at that window's last occurrence rather than the target.
+    sim = Simulator()
+    s = Sampler(5)
+    sim.every(7 * NS_PER_MS, s.tick, name="s",
+              fast_forward=True, bulk=s.apply)
+    sim.enable_fast_forward()
+    sim.run_until(1_000 * NS_PER_MS, until=lambda: s.count > 0)
+    assert sim.ff_windows == 1
+    assert s.count == 142
+    assert sim.now_ns == 994 * NS_PER_MS
+
+
 def test_max_events_disables_fast_forward():
     sim, *_ = _world(fast_forward=True)
     sim.run_until(500 * NS_PER_MS, max_events=10_000)

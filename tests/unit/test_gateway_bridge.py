@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.drivers.catalog import CATALOG
 from repro.fleet.scenario import SCENARIOS
 from repro.gateway.bridge import (
     DEFAULT_QUANTUM_NS,
@@ -191,3 +192,32 @@ def test_submitted_ops_serialize_across_threads():
         assert all(t == 80_000_000 for t in clocks)
     finally:
         bridge.close()
+
+
+def test_out_of_range_write_is_rejected_before_admission():
+    # The protocol packs write values as signed int32.  A value that
+    # cannot be packed is a 400 answered before the op takes an
+    # admission slot, so it is logged and replays to the same fleet.
+    scenario = SCENARIOS["gateway"].scaled(things=40)
+    quantum_ns = 1_000_000_000
+    bridge = GatewayBridge(scenario, quantum_ns=quantum_ns)
+    bridge._apply(Op("advance", value=quantum_ns))
+    relay = CATALOG["relay"].device_id
+    gid = next(gid for gid, (deployment, local) in sorted(
+        bridge._things.items())
+        if relay in deployment.things[local].connected_peripherals().values())
+    for bad in (2 ** 40, 2 ** 31, -2 ** 31 - 1):
+        result = bridge._apply(
+            Op("write", thing=gid, name="relay-write", value=bad))
+        assert result.status == 400
+    good = bridge._apply(Op("write", thing=gid, name="relay-write",
+                            value=-2 ** 31))
+    assert good.status == 200
+    # The bad writes consumed no admission slot.
+    assert good.admitted_ns == 2 * quantum_ns
+    assert [e["index"] for e in bridge.log.entries] == list(range(5))
+    replayed = GatewayBridge.replay(scenario, bridge.log.ops(),
+                                    quantum_ns=quantum_ns)
+    assert [d.sim.now_ns for d in replayed.deployments] == \
+        [d.sim.now_ns for d in bridge.deployments]
+    assert replayed.digest() == bridge.digest()

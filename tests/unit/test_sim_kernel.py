@@ -156,6 +156,45 @@ def test_max_events_bound():
     assert sim.pending_count() == 6
 
 
+def test_run_until_stops_right_after_the_event_that_satisfies_until():
+    sim = Simulator()
+    fired = []
+    for t, name in ((10, "a"), (20, "b"), (20, "c"), (30, "d")):
+        sim.schedule(t, lambda n=name: fired.append(n))
+    assert sim.run_until(100, until=lambda: "b" in fired) == 2
+    assert fired == ["a", "b"]
+    # The clock stays at the completing event, and the later event at
+    # the same instant is still queued.
+    assert sim.now_ns == 20
+    assert sim.pending_count() == 2
+    sim.run_until(100)
+    assert fired == ["a", "b", "c", "d"]
+    assert sim.now_ns == 100
+
+
+def test_run_until_with_unmet_until_reaches_the_target():
+    sim = Simulator()
+    sim.schedule(10, lambda: None)
+    assert sim.run_until(100, until=lambda: False) == 1
+    assert sim.now_ns == 100
+
+
+def test_until_composes_with_max_events():
+    sim = Simulator()
+    fired = []
+    for t in range(1, 11):
+        sim.schedule(t, lambda t=t: fired.append(t))
+    # The cap binds first ...
+    assert sim.run_until(100, max_events=3,
+                         until=lambda: len(fired) >= 5) == 3
+    assert sim.now_ns == 3
+    # ... then the predicate does, inside a larger cap.
+    assert sim.run_until(100, max_events=10,
+                         until=lambda: len(fired) >= 5) == 2
+    assert fired == [1, 2, 3, 4, 5]
+    assert sim.now_ns == 5
+
+
 def test_trace_hook_sees_names():
     sim = Simulator()
     traced = []
