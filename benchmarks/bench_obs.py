@@ -3,7 +3,7 @@
 The tracing subsystem promises near-zero cost when off.  The kernel
 keeps its hot paths literally branch-free until a tracer attaches
 (:meth:`Simulator.attach_tracer` shadows ``step`` / ``schedule_at``
-with traced copies on that instance only), and every other layer guards
+with the observed pair on that instance only), and every other layer guards
 its hooks with one ``sim.tracer`` attribute check.
 
 This bench verifies the promise two ways:

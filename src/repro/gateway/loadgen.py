@@ -22,8 +22,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.gateway.obs import LATENCY_HIST_ARGS
 from repro.gateway.wire import WireError
-from repro.sim.stats import percentile
+from repro.sim.stats import Histogram
 from repro.telemetry.health import HealthReport, SloRule, evaluate
 from repro.telemetry.series import SeriesBank
 
@@ -164,7 +165,8 @@ class LoadResult:
     requests: int = 0
     errors: int = 0
     timeouts: int = 0
-    latencies_ms: Dict[str, List[float]] = field(default_factory=dict)
+    #: Per-kind request latency, ms (``Histogram(*LATENCY_HIST_ARGS)``).
+    latencies_ms: Dict[str, Histogram] = field(default_factory=dict)
     health: Optional[HealthReport] = None
     #: Server-side diagnostics fetched after the run (/healthz +
     #: /debug/ops): stream drops and the bridged decomposition.
@@ -178,22 +180,24 @@ class LoadResult:
     def requests_per_s(self) -> float:
         return self.requests / self.wall_s if self.wall_s else 0.0
 
-    def _lat_summary(self, values: List[float]) -> dict:
-        if not values:
+    def _lat_summary(self, hist: Histogram) -> dict:
+        count = hist.count
+        if not count:
             return {"count": 0}
         return {
-            "count": len(values),
-            "p50_latency_ms": round(percentile(values, 50), 3),
-            "p95_latency_ms": round(percentile(values, 95), 3),
-            "p99_latency_ms": round(percentile(values, 99), 3),
-            "mean_ms": round(sum(values) / len(values), 3),
-            "max_ms": round(max(values), 3),
+            "count": count,
+            "p50_latency_ms": round(hist.percentile(50), 3),
+            "p95_latency_ms": round(hist.percentile(95), 3),
+            "p99_latency_ms": round(hist.percentile(99), 3),
+            "mean_ms": round(hist.mean, 3),
+            "max_ms": round(hist.maximum, 3),
         }
 
     def as_dict(self) -> dict:
-        merged: List[float] = []
-        for values in self.latencies_ms.values():
-            merged.extend(values)
+        merged = Histogram(*LATENCY_HIST_ARGS)
+        for hist in self.latencies_ms.values():
+            merged = merged.merge(hist)
+        reads = self.latencies_ms.get("read")
         doc = {
             "wall_s": round(self.wall_s, 3),
             "requests": self.requests,
@@ -201,13 +205,12 @@ class LoadResult:
             "timeouts": self.timeouts,
             "error_rate": round(self.error_rate, 6),
             "requests_per_s": round(self.requests_per_s, 2),
-            "reads_per_min": round(
-                60.0 * len(self.latencies_ms.get("read", []))
-                / self.wall_s, 1) if self.wall_s else 0.0,
+            "reads_per_min": round(60.0 * reads.count / self.wall_s, 1)
+            if self.wall_s and reads is not None else 0.0,
             "latency": self._lat_summary(merged),
             "latency_by_kind": {
-                kind: self._lat_summary(values)
-                for kind, values in sorted(self.latencies_ms.items())
+                kind: self._lat_summary(hist)
+                for kind, hist in sorted(self.latencies_ms.items())
             },
         }
         if self.server:
@@ -322,7 +325,10 @@ async def run_load(host: str, port: int,
         requests_series.record(t_ns, counters["requests"])
         errors_series.record(t_ns, counters["errors"])
         latency_series.record(t_ns, latency_ms)
-        result.latencies_ms.setdefault(kind, []).append(latency_ms)
+        hist = result.latencies_ms.get(kind)
+        if hist is None:
+            hist = result.latencies_ms[kind] = Histogram(*LATENCY_HIST_ARGS)
+        hist.observe(latency_ms)
 
     async def one(kind: str, index: int) -> None:
         if kind == "lookup":

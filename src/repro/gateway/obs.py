@@ -37,13 +37,14 @@ trace events or digests.
 from __future__ import annotations
 
 import json
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.sim.stats import percentile
+from repro.sim.stats import Histogram
 from repro.telemetry.health import HealthReport, SloRule, evaluate
 from repro.telemetry.series import SeriesBank
 
@@ -55,10 +56,11 @@ DEFAULT_GATEWAY_SLOS: Tuple[str, ...] = (
     " < 5% window=5",
 )
 
-#: Per-kind sample reservoirs for the percentile summaries (bounded so
-#: a week-long serve cannot grow without bound; recent-window is what
-#: an operator wants anyway).
-COMPONENT_SAMPLE_LIMIT = 65536
+#: ``Histogram(*LATENCY_HIST_ARGS)`` bounds every latency summary, in
+#: ms: 1 us to 100 s at 32 log buckets per decade (one bucket spans
+#: ~7.5%).  Fixed-size, so a week-long serve summarizes its whole
+#: lifetime in the same memory and time as its first second.
+LATENCY_HIST_ARGS = (1e-3, 1e5, 32)
 
 #: Decomposition components, in pipeline order.
 COMPONENTS = ("queue_wait_ms", "sim_exec_ms", "reply_write_ms", "wall_ms")
@@ -115,7 +117,11 @@ class GatewayObservability:
         self._counts: Dict[str, int] = {}
         self._errors: Dict[str, int] = {}
         self._sim_counts: Dict[str, int] = {}
-        self._components: Dict[str, Dict[str, Deque[float]]] = {}
+        self._components: Dict[str, Dict[str, Histogram]] = {}
+        # record_reply observes on the asyncio thread while record_op
+        # and summary() run on the bridge thread; Histogram.observe is
+        # not atomic.
+        self._hist_lock = threading.Lock()
         self._stream_dropped = 0
         # Pre-create every series the asyncio thread may touch so no
         # dict mutation ever races the bridge thread.
@@ -135,7 +141,7 @@ class GatewayObservability:
         self._errors[kind] = 0
         self._sim_counts[kind] = 0
         self._components[kind] = {
-            c: deque(maxlen=COMPONENT_SAMPLE_LIMIT) for c in COMPONENTS}
+            c: Histogram(*LATENCY_HIST_ARGS) for c in COMPONENTS}
         labels = {"kind": kind}
         mk = self.bank.series
         self._wall[(kind, "ops")] = mk(
@@ -191,9 +197,10 @@ class GatewayObservability:
         self._wall[(kind, "wall_ms")].record(t, wall_ms,
                                              trace_id=trace_id)
         comps = self._components[kind]
-        comps["queue_wait_ms"].append(queue_wait_ms)
-        comps["sim_exec_ms"].append(sim_exec_ms)
-        comps["wall_ms"].append(wall_ms)
+        with self._hist_lock:
+            comps["queue_wait_ms"].observe(queue_wait_ms)
+            comps["sim_exec_ms"].observe(sim_exec_ms)
+            comps["wall_ms"].observe(wall_ms)
 
         # Sim plane: only ops that consumed an admission slot carry
         # deterministic timestamps/latencies.
@@ -238,7 +245,8 @@ class GatewayObservability:
         entry = self._wall.get((kind, "reply_write_ms"))
         if entry is not None:
             entry.record(self._wall_now_ns(), reply_ms)
-            self._components[kind]["reply_write_ms"].append(reply_ms)
+            with self._hist_lock:
+                self._components[kind]["reply_write_ms"].observe(reply_ms)
         if record is not None:
             record["reply_write_ms"] = round(reply_ms, 6)
 
@@ -259,28 +267,34 @@ class GatewayObservability:
             s.pop("exemplars", None)
         return {"series": series}
 
-    def _summarize(self, values) -> dict:
-        data = list(values)
-        if not data:
+    def _summarize(self, hist: Histogram) -> dict:
+        count = hist.count
+        if not count:
             return {"count": 0}
         return {
-            "count": len(data),
-            "p50": round(percentile(data, 50), 3),
-            "p95": round(percentile(data, 95), 3),
-            "p99": round(percentile(data, 99), 3),
-            "max": round(max(data), 3),
+            "count": count,
+            "p50": round(hist.percentile(50), 3),
+            "p95": round(hist.percentile(95), 3),
+            "p99": round(hist.percentile(99), 3),
+            "max": round(hist.maximum, 3),
         }
 
     def summary(self) -> dict:
         """Per-kind decomposition percentiles + recorder state
-        (the ``GET /debug/ops`` body and the loadgen report)."""
+        (the ``GET /debug/ops`` body and the loadgen report).
+
+        Percentiles cover every op since the bridge started, estimated
+        from fixed histogram buckets (see ``LATENCY_HIST_ARGS``)."""
         kinds = {}
         for kind in sorted(self._counts):
             comps = self._components[kind]
+            with self._hist_lock:
+                summaries = {c: self._summarize(comps[c])
+                             for c in COMPONENTS}
             kinds[kind] = {
                 "count": self._counts[kind],
                 "errors": self._errors[kind],
-                **{c: self._summarize(comps[c]) for c in COMPONENTS},
+                **summaries,
             }
         return {
             "slo_status": self.last_slo_status,
@@ -367,6 +381,7 @@ class GatewayObservability:
 __all__ = [
     "COMPONENTS",
     "DEFAULT_GATEWAY_SLOS",
+    "LATENCY_HIST_ARGS",
     "GatewayObsConfig",
     "GatewayObservability",
 ]

@@ -15,6 +15,9 @@ driver code.
 Tracing is off by default: every instrumentation point is guarded by a
 ``sim.tracer is None`` check, so the disabled-mode cost is one
 attribute load per hook (benchmarked by ``benchmarks/bench_obs.py``).
+The kernel itself binds its one observed ``step``/``schedule_at`` pair,
+shared with :mod:`repro.profile`, only while a tracer or profiler is
+attached.
 Recorded events live in a bounded ring buffer and export to Chrome
 trace-event JSON (loadable in Perfetto / chrome://tracing) via
 :mod:`repro.obs.export`, or to a plain-text critical-path summary via

@@ -298,7 +298,7 @@ def install_tracer(
     trace_id_base: int = 0,
     label: str = "",
 ) -> Tracer:
-    """Create a tracer and attach it (swaps in the traced kernel paths)."""
+    """Create a tracer and attach it (binds the observed kernel paths)."""
     tracer = Tracer(sim, limit=limit, categories=categories,
                     trace_id_base=trace_id_base, label=label)
     sim.attach_tracer(tracer)

@@ -10,7 +10,8 @@ untouched.
 Three collectors (see :class:`~repro.profile.collector.ShardProfiler`):
 
 * **events** — per-event-kind wall-ns / sim-ns with mergeable
-  histograms, hooked into the kernel's attach-time shadow path;
+  histograms, hooked into the kernel's observed ``step`` (the one
+  attach-time pair it shares with the tracer);
 * **vm** — opcode and basic-block heat over every Thing's VM, layered
   on the fastpath translation cache;
 * **idle** — inter-event gap histograms plus a periodicity classifier

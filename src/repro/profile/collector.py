@@ -2,10 +2,10 @@
 
 One :class:`ShardProfiler` serves one
 :class:`~repro.fleet.deployment.ShardDeployment`.  It attaches to the
-kernel through :meth:`Simulator.attach_profiler` — the same
-attach-time method-shadowing scheme as ``attach_tracer``, so a
-simulator without a profiler keeps running the branch-free original
-``step``/``schedule_at`` and disabled-mode overhead is exactly zero —
+kernel through :meth:`Simulator.attach_profiler`, which binds the same
+observed ``step``/``schedule_at`` pair as ``attach_tracer``, so a
+simulator without an observer keeps running the branch-free original
+paths and disabled-mode overhead is exactly zero —
 and to every Thing's VM through an
 :class:`~repro.profile.vmheat.OpcodeHeatRecorder`.
 
@@ -120,7 +120,7 @@ class ShardProfiler:
     # ------------------------------------------------------------ kernel hook
     def on_event(self, name: str, prev_ns: int, time_ns: int,
                  wall_ns: int) -> None:
-        """One kernel event just ran (called from the profiled step).
+        """One kernel event just ran (called from the observed step).
 
         *prev_ns* (the kernel clock before the event) is ignored for
         gap purposes — see ``_last_event_ns``.

@@ -54,7 +54,7 @@ class _ScheduledEvent:
         self.popped = False
         self.ff = None
         # ``trace_id`` is declared in __slots__ but deliberately left
-        # unassigned: the traced scheduling path (attach_tracer) sets it,
+        # unassigned: the observed scheduling path (attach_tracer) sets it,
         # and untraced simulations pay nothing for it — hasattr() stays
         # False exactly as with the previous dynamic attribute.
         # ``ff`` defaults to None and is set only on events owned by a
@@ -215,12 +215,12 @@ class Simulator:
         #: Optional :class:`repro.obs.Tracer`.  None (the default)
         #: keeps every instrumentation point in the stack down to a
         #: single attribute check; the kernel's own hot paths carry no
-        #: tracer branches at all until :meth:`attach_tracer` swaps the
-        #: traced copies in.
+        #: observer branches at all until :meth:`attach_tracer` binds
+        #: the observed pair.
         self.tracer = None
-        #: Optional :class:`repro.profile.ShardProfiler`.  Same
-        #: attach-time shadowing contract as ``tracer``: a simulator
-        #: without a profiler runs the branch-free original paths.
+        #: Optional :class:`repro.profile.ShardProfiler`.  Binds the
+        #: same observed pair as ``tracer``: a simulator with neither
+        #: runs the branch-free original paths.
         self.profiler = None
 
     # ------------------------------------------------------------------ time
@@ -368,12 +368,10 @@ class Simulator:
             return 0
         count = 0
         # Fast-forward, the kernel's one optional speed tier, engages
-        # only for unbounded, untraced runs: a max_events cap would have
-        # to split windows, and a tracer's per-event records cannot be
-        # synthesized for skipped work.
+        # only for unbounded runs that no observer needs stepped one by
+        # one: a max_events cap would have to split windows.
         ff_ok = (self._ff_enabled and max_events is None
-                 and self.tracer is None)
-        bulk_ok: Optional[bool] = None
+                 and not self.needs_per_event)
         # NOTE: ``self._queue`` must be re-read every iteration — any
         # callback can cancel events and trip ``_maybe_compact``, which
         # rebinds the heap to a fresh list.
@@ -389,17 +387,12 @@ class Simulator:
                 break
             if ff_ok and head_time >= self._ff_skip_until and \
                     head.ff is not None:
-                if bulk_ok is None:
-                    bulk_ok = all(b is not None for b in self._bulk_hooks)
-                if bulk_ok:
-                    skipped = self._fast_forward_window(time_ns)
-                    if skipped:
-                        count += skipped
-                        if until is not None and until():
-                            return count
-                        continue
-                else:
-                    ff_ok = False
+                skipped = self._fast_forward_window(time_ns)
+                if skipped:
+                    count += skipped
+                    if until is not None and until():
+                        return count
+                    continue
             self.step()
             count += 1
             if max_events is not None and count >= max_events:
@@ -660,65 +653,79 @@ class Simulator:
         """Run for ``duration_ns`` of simulated time from now."""
         return self.run_until(self._now_ns + int(duration_ns), max_events=max_events)
 
-    # ---------------------------------------------------------------- tracing
+    # ------------------------------------------------------------ observers
     def attach_tracer(self, tracer) -> None:
-        """Attach a :class:`repro.obs.Tracer`; swaps in the traced paths.
+        """Attach a :class:`repro.obs.Tracer`; swaps in the observed paths.
 
-        The traced copies of :meth:`step` / :meth:`schedule_at` shadow
-        the class methods on this instance only, so every simulator
-        without a tracer keeps running the branch-free originals —
+        The observed :meth:`step` / :meth:`schedule_at` pair shadows the
+        class methods on this instance only, so every simulator without
+        an observer keeps running the branch-free originals —
         disabled-mode tracing overhead in the kernel is exactly zero.
         """
         self.tracer = tracer
         self._reshadow()
 
     def detach_tracer(self) -> None:
-        """Remove the tracer and restore the branch-free kernel paths."""
+        """Remove the tracer; the observed pair stays bound while a
+        profiler is still attached."""
         self.tracer = None
         self._reshadow()
 
     def attach_profiler(self, profiler) -> None:
         """Attach a :class:`repro.profile.ShardProfiler`.
 
-        Swaps in the profiled :meth:`step` / :meth:`schedule_at` copies
-        — the same instance-shadowing scheme as :meth:`attach_tracer`,
-        so disabled-mode profiling overhead in the kernel is exactly
-        zero.  The profiled paths handle an attached tracer inline, so
-        profiling and tracing compose without a fourth method pair.
+        Binds the same observed pair as :meth:`attach_tracer`, so
+        profiling and tracing compose on one pair and disabled-mode
+        profiling overhead in the kernel is exactly zero.
         """
         self.profiler = profiler
         self._reshadow()
 
     def detach_profiler(self) -> None:
-        """Remove the profiler; restore traced or plain paths as needed."""
+        """Remove the profiler; the observed pair stays bound while a
+        tracer is still attached."""
         self.profiler = None
         self._reshadow()
 
+    @property
+    def needs_per_event(self) -> bool:
+        """True while some observer needs every event stepped one by one.
+
+        That is an attached tracer (its per-event records cannot be
+        synthesized for skipped work) or a trace hook registered without
+        a bulk variant.  It is the only rule fast-forward consults; a
+        profiler alone does not count, because it takes each applied
+        window in aggregate (``on_fast_forward``).
+        """
+        return self.tracer is not None or any(
+            b is None for b in self._bulk_hooks)
+
     def _reshadow(self) -> None:
-        """Bind the step/schedule_at variants the attached instrumentation
-        needs (profiled > traced > branch-free originals)."""
+        """Bind the observed step/schedule_at pair while a tracer or a
+        profiler is attached; otherwise leave the class methods."""
         self.__dict__.pop("schedule_at", None)
         self.__dict__.pop("step", None)
-        if self.profiler is not None:
-            self.schedule_at = self._profiled_schedule_at  # type: ignore[method-assign]
-            self.step = self._profiled_step  # type: ignore[method-assign]
-        elif self.tracer is not None:
-            self.schedule_at = self._traced_schedule_at  # type: ignore[method-assign]
-            self.step = self._traced_step  # type: ignore[method-assign]
+        if self.tracer is not None or self.profiler is not None:
+            self.schedule_at = self._observed_schedule_at  # type: ignore[method-assign]
+            self.step = self._observed_step  # type: ignore[method-assign]
 
-    def _traced_schedule_at(
+    def _observed_schedule_at(
         self,
         time_ns: int,
         callback: Callable[[], None],
         *,
         name: str = "",
     ) -> EventHandle:
-        """:meth:`schedule_at`, plus causal-context capture.
+        """:meth:`schedule_at`, plus causal-context capture and
+        schedule-delay capture.
 
         The tracer's *current* trace id (if any) is stamped onto the
         event, so causality follows every split-phase hop — stack CPU
         delays, radio frames, router dispatches, bus completions —
-        with no per-layer plumbing.
+        with no per-layer plumbing.  The profiler records every named
+        event's distinct scheduling delays — the signature its idle-gap
+        analyzer uses to classify periodic (analytically
+        fast-forwardable) work offline.
         """
         time_ns = int(time_ns)
         if time_ns < self._now_ns:
@@ -729,74 +736,21 @@ class Simulator:
         tracer = self.tracer
         if tracer is not None and tracer.current is not None:
             event.trace_id = tracer.current
+        profiler = self.profiler
+        if profiler is not None and name:
+            profiler.on_schedule(name, time_ns - self._now_ns)
         heapq.heappush(self._queue, (time_ns, self._seq, event))
         self._seq += 1
         return EventHandle(event, self)
 
-    def _traced_step(self) -> bool:
-        """:meth:`step`, plus causal-context restore around callbacks."""
-        while self._queue:
-            time_ns, _, event = heapq.heappop(self._queue)
-            event.popped = True
-            if event.cancelled:
-                self._tombstones -= 1
-                continue
-            self._now_ns = time_ns
-            for hook in self._trace_hooks:
-                hook(time_ns, event.name)
-            tracer = self.tracer
-            if tracer is None:  # detached mid-run
-                event.callback()
-                return True
-            trace_id = getattr(event, "trace_id", None)
-            tracer.current = trace_id
-            if event.name and tracer.enabled_for("kernel"):
-                tracer.instant(event.name, "kernel", trace_id=trace_id)
-            try:
-                event.callback()
-            finally:
-                tracer.current = None
-            return True
-        return False
+    def _observed_step(self) -> bool:
+        """:meth:`step`, plus causal-context restore around callbacks and
+        wall-clock and sim-gap attribution.
 
-    # -------------------------------------------------------------- profiling
-    def _profiled_schedule_at(
-        self,
-        time_ns: int,
-        callback: Callable[[], None],
-        *,
-        name: str = "",
-    ) -> EventHandle:
-        """:meth:`schedule_at`, plus schedule-delay capture.
-
-        The profiler records every named event's distinct scheduling
-        delays — the signature its idle-gap analyzer uses to classify
-        periodic (analytically fast-forwardable) work offline.  Tracer
-        causal-context stamping is folded in so profiled+traced runs
-        behave exactly like traced runs.
-        """
-        time_ns = int(time_ns)
-        if time_ns < self._now_ns:
-            raise SimulationError(
-                f"cannot schedule in the past: {time_ns} < {self._now_ns}"
-            )
-        event = _ScheduledEvent(time_ns, self._seq, callback, name)
-        tracer = self.tracer
-        if tracer is not None and tracer.current is not None:
-            event.trace_id = tracer.current
-        if name:
-            self.profiler.on_schedule(name, time_ns - self._now_ns)
-        heapq.heappush(self._queue, (time_ns, self._seq, event))
-        self._seq += 1
-        return EventHandle(event, self)
-
-    def _profiled_step(self) -> bool:
-        """:meth:`step`, plus wall-clock and sim-gap attribution.
-
-        Each event's host cost (``perf_counter_ns`` around the
-        callback) and the simulated-time gap it closed are reported to
-        the profiler keyed by event name.  Tracer handling is inlined
-        so the profiled path covers both the plain and traced cases.
+        With a tracer attached, the event's stamped trace id is current
+        while its callback runs.  With a profiler attached, each event's
+        host cost (``perf_counter_ns`` around the callback) and the
+        simulated-time gap it closed are reported keyed by event name.
         """
         while self._queue:
             time_ns, _, event = heapq.heappop(self._queue)
@@ -809,7 +763,9 @@ class Simulator:
             for hook in self._trace_hooks:
                 hook(time_ns, event.name)
             tracer = self.tracer
-            started = perf_counter_ns()
+            profiler = self.profiler
+            if profiler is not None:
+                started = perf_counter_ns()
             if tracer is None:
                 event.callback()
             else:
@@ -821,9 +777,10 @@ class Simulator:
                     event.callback()
                 finally:
                     tracer.current = None
-            self.profiler.on_event(
-                event.name, prev_ns, time_ns, perf_counter_ns() - started
-            )
+            if profiler is not None:
+                profiler.on_event(
+                    event.name, prev_ns, time_ns, perf_counter_ns() - started
+                )
             return True
         return False
 
@@ -833,7 +790,7 @@ class Simulator:
         ``(time_ns, seq, event)`` tuples keep their ordering keys, and
         tombstoned events keep their ``cancelled`` flags)."""
         state = dict(self.__dict__)
-        # The traced fast paths are bound methods shadowing the class
+        # The observed paths are bound methods shadowing the class
         # ones on this instance; restore_state re-binds them, so the
         # checkpoint never carries method objects.
         state.pop("schedule_at", None)
@@ -848,7 +805,7 @@ class Simulator:
         state.pop("_schema", None)
         self.__dict__.clear()
         self.__dict__.update(state)
-        # Re-shadow instrumented paths exactly as the attach_* calls do.
+        # Re-shadow the observed paths exactly as the attach_* calls do.
         self._reshadow()
 
     __getstate__ = snapshot_state
@@ -864,8 +821,8 @@ class Simulator:
         """Register a hook called (time_ns, event_name) before each event.
 
         ``bulk(time_ns, name, n)`` is the hook's aggregated variant; it
-        must equal n per-event calls.  Fast-forward windows stay
-        disengaged until every registered hook has one.
+        must equal n per-event calls.  A hook without one sets
+        :attr:`needs_per_event`, which keeps fast-forward disengaged.
         """
         self._trace_hooks.append(hook)
         self._bulk_hooks.append(bulk)

@@ -9,8 +9,13 @@ the ``ff_windows``/``ff_events`` statistics.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.obs.tracer import install_tracer
+from repro.profile.collector import ShardProfiler
+from repro.profile.config import ProfileConfig
 from repro.sim.kernel import NS_PER_MS, Simulator
 from repro.snapshot.codec import dumps_state, loads_state
 
@@ -86,16 +91,51 @@ def _observable(sim, a, b, observations, barriers) -> tuple:
             a.state(), b.state(), observations, barriers)
 
 
-def test_fast_forward_matches_stepping_exactly():
+def _attach_profiler(sim) -> None:
+    deployment = SimpleNamespace(sim=sim, spec=SimpleNamespace(index=0),
+                                 things=[])
+    ShardProfiler(deployment, ProfileConfig())
+
+
+def _hook(seen: list):
+    return lambda t, name: seen.append(1)
+
+
+def _bulk(seen: list):
+    return lambda t, name, n: seen.append(n)
+
+
+#: (observer, attach(sim, seen), needs_per_event): the stand-down table.
+OBSERVERS = [
+    ("no-observer", lambda sim, seen: None, False),
+    ("profiler", lambda sim, seen: _attach_profiler(sim), False),
+    ("bulk-hook", lambda sim, seen: sim.add_trace_hook(
+        _hook(seen), bulk=_bulk(seen)), False),
+    ("per-event-hook", lambda sim, seen: sim.add_trace_hook(_hook(seen)),
+     True),
+    ("tracer", lambda sim, seen: install_tracer(sim), True),
+]
+
+
+@pytest.mark.parametrize("attach, needs_per_event",
+                         [o[1:] for o in OBSERVERS],
+                         ids=[o[0] for o in OBSERVERS])
+def test_fast_forward_matches_stepping_exactly(attach, needs_per_event):
     horizon = 2_000 * NS_PER_MS
     off = _world(fast_forward=False)
     on = _world(fast_forward=True)
-    off[0].run_until(horizon)
-    on[0].run_until(horizon)
+    seen: list = []
+    attach(on[0], seen)
+    assert on[0].needs_per_event is needs_per_event
+    stepped = off[0].run_until(horizon)
+    assert on[0].run_until(horizon) == stepped
     assert _observable(*on) == _observable(*off)
-    assert on[0].ff_windows > 0
-    assert on[0].ff_events > 0
+    assert (on[0].ff_windows > 0) is not needs_per_event
+    assert (on[0].ff_events > 0) is not needs_per_event
     assert off[0].ff_windows == 0
+    if seen:
+        # A hook sees every event, skipped ones through its bulk variant.
+        assert sum(seen) == stepped
 
 
 def test_fast_forward_preserves_future_event_order():

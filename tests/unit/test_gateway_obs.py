@@ -5,6 +5,9 @@ overrides, so every assertion is exact — no sleeping, no sockets.
 """
 
 import json
+import math
+import sys
+import threading
 
 import pytest
 
@@ -13,8 +16,10 @@ from repro.gateway.obs import (
     COMPONENTS,
     DEFAULT_GATEWAY_SLOS,
     GatewayObsConfig,
+    LATENCY_HIST_ARGS,
     GatewayObservability,
 )
+from repro.sim.stats import percentile
 from repro.telemetry.export import to_openmetrics, validate_openmetrics
 from repro.telemetry.sentinel import DEFAULT_SENTINEL_RULES
 
@@ -85,14 +90,62 @@ class TestDecomposition:
 
     def test_summary_percentiles(self):
         obs = GatewayObservability()
-        for i in range(100):
-            _record(obs, i, queue_ms=0.0, exec_ms=float(i + 1))
+        samples = [float(i + 1) for i in range(100)]
+        for i, exec_ms in enumerate(samples):
+            _record(obs, i, queue_ms=0.0, exec_ms=exec_ms)
         stats = obs.summary()["kinds"]["read"]["sim_exec_ms"]
         assert stats["count"] == 100
         assert stats["max"] == pytest.approx(100.0)
         assert stats["p50"] <= stats["p95"] <= stats["p99"] <= stats["max"]
         assert set(COMPONENTS) < set(obs.summary()["kinds"]["read"])
+        # Bucketed estimates stay within one bucket of the exact value.
+        bucket = 10.0 ** (1.0 / LATENCY_HIST_ARGS[2])
+        for q in (50, 95, 99):
+            exact = percentile(samples, q)
+            assert exact / bucket <= stats[f"p{q}"] <= exact * bucket, q
 
+    def test_component_counts_do_not_saturate(self):
+        obs = GatewayObservability()
+        ops = 70_000
+        for i in range(ops):
+            _record(obs, i, queue_ms=0.5, exec_ms=1.0 + (i % 7))
+        kind = obs.summary()["kinds"]["read"]
+        assert kind["count"] == ops
+        for component in ("queue_wait_ms", "sim_exec_ms", "wall_ms"):
+            assert kind[component]["count"] == ops, component
+        assert kind["sim_exec_ms"]["max"] == pytest.approx(7.0)
+
+    def test_summary_races_reply_recording_safely(self):
+        # A fresh recorder per round: a histogram's first observe is
+        # where an unguarded read would see a count with no maximum.
+        current = []
+        stop = threading.Event()
+
+        def replies():
+            while not stop.is_set():
+                if current:
+                    obs, record = current[-1]
+                    obs.record_reply(record, reply_ns=1_000)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        thread = threading.Thread(target=replies)
+        thread.start()
+        try:
+            for _ in range(1_000):
+                obs = GatewayObservability(op_kinds=("read",))
+                current.append((obs, _record(obs, 0)))
+                for _ in range(3):
+                    summary = obs.summary()
+                    # allow_nan=False rejects inf/nan anywhere.
+                    json.dumps(summary, allow_nan=False)
+                    reply = summary["kinds"]["read"]["reply_write_ms"]
+                    assert all(math.isfinite(v) for v in reply.values())
+        finally:
+            stop.set()
+            thread.join()
+            sys.setswitchinterval(switch)
+        assert obs.summary()["kinds"]["read"]["reply_write_ms"]["count"] > 0
 
 class TestJournalAndRing:
     def test_journal_keeps_worst_n(self):

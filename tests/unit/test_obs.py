@@ -122,11 +122,17 @@ def test_attach_and_detach_swap_the_kernel_hot_paths():
     assert "step" not in sim.__dict__ and "schedule_at" not in sim.__dict__
     tracer = install_tracer(sim)
     assert sim.tracer is tracer
-    assert sim.__dict__["step"] == sim._traced_step
-    assert sim.__dict__["schedule_at"] == sim._traced_schedule_at
+    assert sim.__dict__["step"] == sim._observed_step
+    assert sim.__dict__["schedule_at"] == sim._observed_schedule_at
     sim.detach_tracer()
     assert sim.tracer is None
     assert "step" not in sim.__dict__ and "schedule_at" not in sim.__dict__
+
+
+def test_observed_pair_is_the_only_shadowed_pair():
+    names = [n for n in vars(Simulator)
+             if n.endswith(("_step", "_schedule_at"))]
+    assert sorted(names) == ["_observed_schedule_at", "_observed_step"]
 
 
 def test_kernel_propagates_the_current_trace_across_schedules():

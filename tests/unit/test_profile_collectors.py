@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.obs.tracer import install_tracer
 from repro.profile.collector import (
     ShardProfiler,
     deterministic_view,
@@ -20,6 +21,7 @@ from repro.profile.collector import (
 )
 from repro.profile.config import ProfileConfig
 from repro.sim.kernel import NS_PER_MS, Simulator
+from repro.snapshot.codec import dumps_state, loads_state
 
 
 class _FakeSpec:
@@ -84,6 +86,83 @@ def test_attach_shadows_and_detach_restores_the_kernel_hot_paths():
     assert sim.profiler is None
     # Data recorded before detach stays readable.
     assert profiler.snapshot()["shard"] == 0
+
+
+@pytest.mark.parametrize("first", ["tracer", "profiler"])
+def test_tracer_and_profiler_compose_on_one_observed_pair(first):
+    sim, profiler = _profiled()
+    tracer = install_tracer(sim)
+    seen = []
+
+    def leaf():
+        seen.append(tracer.current)
+
+    def root():
+        tracer.current = tracer.new_trace()
+        sim.schedule(10, leaf, name="leaf")
+
+    def burst():
+        sim.schedule(0, root, name="root")
+        sim.run()
+
+    def bound():
+        return ("step" in sim.__dict__, "schedule_at" in sim.__dict__)
+
+    burst()
+    assert seen == [1]
+    assert profiler.snapshot()["events"]["leaf"]["count"] == 1
+    assert sim.__dict__["step"] == sim._observed_step
+    assert sim.__dict__["schedule_at"] == sim._observed_schedule_at
+
+    if first == "tracer":
+        sim.detach_tracer()
+    else:
+        profiler.detach()
+    assert bound() == (True, True)
+    burst()
+    # The remaining observer still sees everything it observes.
+    if first == "tracer":
+        # Nothing resets the context any more: it leaks past the run.
+        assert tracer.current == 2
+        assert profiler.snapshot()["events"]["leaf"]["count"] == 2
+    else:
+        assert tracer.current is None
+        assert seen == [1, 2]
+        assert profiler.snapshot()["events"]["leaf"]["count"] == 1
+
+    if first == "tracer":
+        profiler.detach()
+    else:
+        sim.detach_tracer()
+    assert bound() == (False, False)
+    burst()
+    assert profiler.snapshot()["events"]["leaf"]["count"] == \
+        (2 if first == "tracer" else 1)
+
+
+def test_checkpoint_restore_rebinds_the_observed_pair():
+    sim, profiler = _profiled()
+    tracer = install_tracer(sim)
+    sim.schedule(5, lambda: None, name="pending")
+    clone, clone_profiler, clone_tracer = loads_state(
+        dumps_state((sim, profiler, tracer)))
+    assert "step" not in sim.snapshot_state()
+    assert clone.__dict__["step"] == clone._observed_step
+    assert clone.__dict__["schedule_at"] == clone._observed_schedule_at
+    assert clone.tracer is clone_tracer
+    assert clone.profiler is clone_profiler
+    seen = []
+
+    def root():
+        clone_tracer.current = clone_tracer.new_trace()
+        clone.schedule(1, lambda: seen.append(clone_tracer.current),
+                       name="leaf")
+
+    clone.schedule(0, root, name="root")
+    clone.run()
+    assert seen == [1]
+    events = clone_profiler.snapshot()["events"]
+    assert events["pending"]["count"] == events["leaf"]["count"] == 1
 
 
 # --------------------------------------------------------------- idle gaps
