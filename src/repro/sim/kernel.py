@@ -414,15 +414,17 @@ class Simulator:
         the barrier leaves same-instant tie-breaking to normal
         stepping.
 
-        Seq allocation is emulated occurrence-by-occurrence in exact
-        merged order (each skipped firing consumes exactly one sequence
-        number, allocated before its callback, matching
-        ``PeriodicHandle._fire``), so the final re-pushed event of
-        every handle carries the identical (time, seq) key it would
-        have had under stepping.  Independent handles' effects are
-        deferred and applied in per-handle bulk; ordered handles
-        (``independent=False``) fire in place after a flush, observing
-        exactly the state they would have seen.
+        Seq allocation matches stepping exactly (each skipped firing
+        consumes one sequence number, allocated before its callback,
+        matching ``PeriodicHandle._fire``), so the final re-pushed
+        event of every handle carries the identical (time, seq) key it
+        would have had under stepping.  Windows in which no ordered
+        handle fires get it in closed form (:meth:`_ff_cohorts`); the
+        rest emulate it occurrence by occurrence in merged order.
+        Independent handles' effects are deferred and applied in
+        per-handle bulk; ordered handles (``independent=False``) fire
+        in place after a flush, observing exactly the state they would
+        have seen.
         """
         queue = self._queue
         barrier_t: Optional[int] = None
@@ -491,12 +493,11 @@ class Simulator:
                         f"the event queue")
 
         cohort_seq = None
-        if all(it[3]._independent for it in items):
-            # No ordered handle in the window: occurrence order among
-            # the remaining (independent) handles is unobservable, so
-            # emulation only has to get seq *accounting* exact — which
-            # cohorts do in one heap transaction per shared-timestamp
-            # round instead of one per occurrence.
+        if all(it[3]._independent for it in items if it[0] <= window_end):
+            # No ordered handle fires in the window (one due after it
+            # does not count): occurrence order among the independent
+            # handles is unobservable, so only seq *accounting* has to
+            # be exact, which cohorts get in closed form.
             cohort_seq = self._ff_cohorts(
                 items, window_end, seq, counts, first_t, last_t, final)
         if cohort_seq is not None:
@@ -579,20 +580,36 @@ class Simulator:
 
     def _ff_cohorts(self, items, window_end: int, seq: int, counts,
                     first_t, last_t, final) -> Optional[int]:
-        """Cohort-compressed window emulation; None = not applicable.
+        """Closed-form cohort accounting for a window; None = not
+        applicable.
 
         A *cohort* is the set of window items sharing (interval, next
         fire time): its members fire at identical timestamps forever,
         in a fixed relative order.  When every cohort's current seq
         set forms a contiguous-block range disjoint from every other
         cohort's, merged order at any shared timestamp is whole blocks
-        ordered by block base — and each round's allocation hands the
-        firing cohorts fresh consecutive blocks, so disjointness is
-        preserved inductively.  One heap transaction per cohort round
-        then replaces one per occurrence (~20x fewer for fleet-sized
-        shards) while consuming exactly the same number of seqs, so
-        ``_seq`` and every re-pushed (time, seq) key match the
-        per-occurrence path bit for bit.
+        ordered by block base, and each round hands the firing cohorts
+        fresh consecutive blocks, so the layout holds for the whole
+        window.  Seq accounting then needs no emulation at all:
+
+        * cohort k (interval I, first fire t0, n members) fires
+          ``R = (window_end - t0) // I + 1`` rounds, the last at
+          ``L = t0 + (R - 1) * I``;
+        * the block base of that last round is ``seq + n * (R - 1)``
+          plus, for every other cohort j, ``n_j`` times the rounds j
+          fired before L, counting a round at L itself when j pops
+          first there;
+        * at a shared instant a cohort on its first round pops first
+          (its key is its pre-window seq, below every base allocated
+          in the window; two such cohorts go by that seq); otherwise
+          the larger interval pops first (its previous round, and so
+          its block base, is earlier); equal intervals with different
+          phase are ordered by the later first fire, which led at its
+          first round and keeps the lead.
+
+        That is O(cohorts**2) floor divisions per window, and ``_seq``
+        and every re-pushed (time, seq) key match the per-occurrence
+        path bit for bit.
 
         Interleaved ranges (typical right after registration, before a
         first window linearizes them) return None and the exact
@@ -604,50 +621,50 @@ class Simulator:
             if t > window_end or h._cancelled:
                 continue
             groups.setdefault((h._interval_ns, t), []).append((s, idx))
-        if not groups:
-            return seq
-        metas = []
-        ranges = []
+        cohorts = []
         for (interval, t0), members in groups.items():
             members.sort()
-            # meta: [interval, member idxs in seq order, rounds,
-            #        last allocation base, first fire, last fire]
-            metas.append([interval, [i for _, i in members], 0, 0, 0, 0])
-            ranges.append((members[0][0], members[-1][0],
-                           t0, len(metas) - 1))
-        ranges.sort()
+            rounds = (window_end - t0) // interval + 1
+            cohorts.append((members[0][0], members[-1][0], interval, t0,
+                            t0 + (rounds - 1) * interval, rounds,
+                            [i for _, i in members]))
+        # Sorted by pre-window seq, so list position breaks first-round
+        # ties.
+        cohorts.sort()
         prev_hi = -1
-        heap = []
-        for lo, hi, t0, k in ranges:
+        for lo, hi, *_ in cohorts:
             if lo <= prev_hi:
                 return None
             prev_hi = hi
-            heap.append((t0, lo, k))
-        heapq.heapify(heap)
-        push = heapq.heappush
-        pop = heapq.heappop
-        while heap:
-            t, _, k = pop(heap)
-            meta = metas[k]
-            base = seq
-            seq += len(meta[1])
-            if meta[2] == 0:
-                meta[4] = t
-            meta[2] += 1
-            meta[3] = base
-            meta[5] = t
-            nt = t + meta[0]
-            if nt <= window_end:
-                push(heap, (nt, base, k))
-        for interval, idxs, rounds, base, ft, lt in metas:
-            if not rounds:
-                continue
-            for j, i in enumerate(idxs):
+        end_seq = seq
+        for k, (_, _, interval, t0, last, rounds, idxs) in \
+                enumerate(cohorts):
+            end_seq += rounds * len(idxs)
+            base = seq + (rounds - 1) * len(idxs)
+            k_first = t0 == last
+            for j, (_, _, ij, tj, _, _, jdxs) in enumerate(cohorts):
+                if j == k or tj > last:
+                    continue
+                before = (last - tj) // ij
+                if before * ij == last - tj:
+                    # j also fires at ``last``: count that round if j
+                    # pops first there.
+                    j_first = tj == last
+                    if j_first or k_first:
+                        leads = j_first and (not k_first or j < k)
+                    else:
+                        leads = ij > interval or (
+                            ij == interval and tj > t0)
+                    before += leads
+                else:
+                    before += 1
+                base += before * len(jdxs)
+            for m, i in enumerate(idxs):
                 counts[i] = rounds
-                first_t[i] = ft
-                last_t[i] = lt
-                final[i] = (lt + interval, base + j)
-        return seq
+                first_t[i] = t0
+                last_t[i] = last
+                final[i] = (last + interval, base + m)
+        return end_seq
 
     def run_for(self, duration_ns: int, *, max_events: Optional[int] = None) -> int:
         """Run for ``duration_ns`` of simulated time from now."""

@@ -9,9 +9,11 @@ the ``ff_windows``/``ff_events`` statistics.
 
 from __future__ import annotations
 
+import heapq
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obs.tracer import install_tracer
 from repro.profile.collector import ShardProfiler
@@ -197,34 +199,242 @@ def test_cancelled_before_window_never_fires():
 
 
 def test_cohort_and_exact_paths_agree(monkeypatch):
-    # Force the per-occurrence emulation path and compare against the
-    # cohort-compressed planner on a cohort-friendly world (many
-    # same-interval handles registered back to back).
-    def build(exact_only: bool):
+    # The fleet-duty shape: 2 ms and 4 ms handles registered back to
+    # back, so every window holds two cohorts whose rounds tie at each
+    # 4 ms instant.  The closed-form cohort path must match the forced
+    # per-occurrence emulation (statistics included) and plain stepping.
+    def build(mode: str):
         sim = Simulator()
-        samplers = [Sampler(3 + i) for i in range(8)]
+        samplers = [Sampler(3 + i) for i in range(10)]
         for i, s in enumerate(samplers):
-            sim.every(5 * NS_PER_MS, s.tick, name=f"s{i}",
-                      fast_forward=True, bulk=s.apply)
+            sim.every((2 if i < 6 else 4) * NS_PER_MS, s.tick,
+                      name=f"s{i}", fast_forward=True, bulk=s.apply)
         chain = []
 
         def barrier():
             chain.append(sim.now_ns)
-            sim.schedule(120 * NS_PER_MS, barrier, name="barrier")
+            sim.schedule(121 * NS_PER_MS, barrier, name="barrier")
 
-        sim.schedule(120 * NS_PER_MS, barrier, name="barrier")
-        sim.enable_fast_forward()
-        if exact_only:
+        sim.schedule(121 * NS_PER_MS, barrier, name="barrier")
+        if mode != "stepped":
+            sim.enable_fast_forward()
+        if mode == "exact":
             monkeypatch.setattr(
                 Simulator, "_ff_cohorts",
                 lambda self, *args, **kwargs: None)
         sim.run_until(1_000 * NS_PER_MS)
         monkeypatch.undo()
-        return (sim.now_ns, sim._seq, sim.pending_count(),
-                [s.state() for s in samplers], chain,
-                sim.ff_windows, sim.ff_events)
+        return ((sim.now_ns, sim._seq, sim.pending_count(),
+                 [s.state() for s in samplers], chain, _queue_keys(sim)),
+                (sim.ff_windows, sim.ff_events))
 
-    assert build(False) == build(True)
+    cohort, exact, stepped = (build(m) for m in
+                              ("cohort", "exact", "stepped"))
+    assert cohort == exact
+    assert cohort[0] == stepped[0]
+    assert cohort[1][0] > 0
+
+
+def test_ordered_handle_due_after_the_window_keeps_the_cohort_path():
+    # An ordered handle that fires in no window must not push those
+    # windows onto the per-occurrence path: independence is judged only
+    # over the items that fire inside the window.
+    def build(ff: bool):
+        sim = Simulator()
+        samplers = [Sampler(41 + i) for i in range(10)]
+        for i, s in enumerate(samplers):
+            sim.every(2 * NS_PER_MS, s.tick, name=f"s{i}",
+                      fast_forward=True, bulk=s.apply)
+        observations = []
+        sim.every(1_000 * NS_PER_MS,
+                  lambda: observations.append(
+                      (sim.now_ns, [s.count for s in samplers])),
+                  name="observer", fast_forward=True, independent=False)
+        chain = []
+
+        def barrier():
+            chain.append(sim.now_ns)
+            sim.schedule(100 * NS_PER_MS, barrier, name="barrier")
+
+        sim.schedule(100 * NS_PER_MS, barrier, name="barrier")
+        windows = []
+        if ff:
+            sim.enable_fast_forward()
+            window = Simulator._fast_forward_window.__get__(sim)
+            cohorts = Simulator._ff_cohorts.__get__(sim)
+
+            def spy_window(target_ns):
+                before = len(observations)
+                windows.append([None, None])
+                applied = window(target_ns)
+                if applied:
+                    windows[-1][0] = len(observations) > before
+                else:
+                    windows.pop()  # declined: nothing was planned
+                return applied
+
+            def spy_cohorts(*args):
+                windows[-1][1] = cohorts(*args)
+                return windows[-1][1]
+
+            sim._fast_forward_window = spy_window
+            sim._ff_cohorts = spy_cohorts
+        sim.run_until(10_000 * NS_PER_MS)
+        state = (sim.now_ns, sim._seq, sim.pending_count(),
+                 [s.state() for s in samplers], observations, chain,
+                 _queue_keys(sim))
+        return state, windows
+
+    on, windows = build(True)
+    off, _ = build(False)
+    assert on == off
+    quiet = [seq for fired, seq in windows if not fired]
+    assert len(quiet) >= 90
+    assert all(seq is not None for seq in quiet)
+
+
+def heap_cohorts(items, window_end, seq, counts, first_t, last_t, final):
+    """Reference cohort accounting: one heap transaction per cohort
+    round, keyed (time, block base) exactly as merged stepping orders
+    the rounds.  The oracle for :meth:`Simulator._ff_cohorts`, which
+    computes the same outputs in closed form."""
+    groups: dict = {}
+    for idx, (t, s, ev, h) in enumerate(items):
+        if t > window_end or h._cancelled:
+            continue
+        groups.setdefault((h._interval_ns, t), []).append((s, idx))
+    if not groups:
+        return seq
+    metas = []
+    ranges = []
+    for (interval, t0), members in groups.items():
+        members.sort()
+        # meta: [interval, member idxs in seq order, rounds,
+        #        last allocation base, first fire, last fire]
+        metas.append([interval, [i for _, i in members], 0, 0, 0, 0])
+        ranges.append((members[0][0], members[-1][0], t0, len(metas) - 1))
+    ranges.sort()
+    prev_hi = -1
+    heap = []
+    for lo, hi, t0, k in ranges:
+        if lo <= prev_hi:
+            return None
+        prev_hi = hi
+        heap.append((t0, lo, k))
+    heapq.heapify(heap)
+    while heap:
+        t, _, k = heapq.heappop(heap)
+        meta = metas[k]
+        base = seq
+        seq += len(meta[1])
+        if meta[2] == 0:
+            meta[4] = t
+        meta[2] += 1
+        meta[3] = base
+        meta[5] = t
+        nt = t + meta[0]
+        if nt <= window_end:
+            heapq.heappush(heap, (nt, base, k))
+    for interval, idxs, rounds, base, ft, lt in metas:
+        if not rounds:
+            continue
+        for j, i in enumerate(idxs):
+            counts[i] = rounds
+            first_t[i] = ft
+            last_t[i] = lt
+            final[i] = (lt + interval, base + j)
+    return seq
+
+
+def _cohort_items(cohorts, order, gaps, cancelled):
+    """Window items for *cohorts* ``[(interval, first_fire, members)]``,
+    with seq blocks laid out contiguously in *order*, ``gaps[i]``
+    unused seqs before the i-th block and the handles of the items
+    numbered in *cancelled* cancelled; returns (items, next free seq)."""
+    items = []
+    s = 0
+    for pos, k in enumerate(order):
+        interval, t0, members = cohorts[k]
+        s += gaps[pos]
+        for _ in range(members):
+            h = SimpleNamespace(_interval_ns=interval,
+                                _cancelled=len(items) in cancelled)
+            items.append((t0, s, SimpleNamespace(name=f"c{k}"), h))
+            s += 1
+    items.sort(key=lambda it: (it[0], it[1]))
+    return items, s
+
+
+def _both_cohort_paths(items, window_end, seq):
+    outs = []
+    for plan in (Simulator()._ff_cohorts, heap_cohorts):
+        lists = [[0] * len(items) for _ in range(3)] + [[None] * len(items)]
+        outs.append((plan(items, window_end, seq, *lists), lists))
+    return outs
+
+
+cohort_layouts = st.lists(
+    st.tuples(st.sampled_from([2, 3, 4, 6, 12]),
+              st.integers(min_value=0, max_value=24),
+              st.integers(min_value=1, max_value=4)),
+    min_size=1, max_size=5)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), cohorts=cohort_layouts,
+       span=st.integers(min_value=0, max_value=80),
+       seq_gap=st.integers(min_value=0, max_value=50))
+def test_closed_form_cohorts_match_heap_oracle(data, cohorts, span,
+                                               seq_gap):
+    # Same-interval-different-phase pairs: copy a drawn cohort's
+    # interval onto a shifted phase.
+    if data.draw(st.booleans(), label="phase_pair"):
+        interval, t0, _ = cohorts[0]
+        shift = data.draw(st.integers(min_value=1, max_value=3),
+                          label="shift")
+        cohorts.append((interval, t0 + shift * interval,
+                        data.draw(st.integers(1, 4), label="members")))
+    order = data.draw(st.permutations(range(len(cohorts))), label="order")
+    gaps = data.draw(st.lists(st.integers(0, 3), min_size=len(cohorts),
+                              max_size=len(cohorts)), label="gaps")
+    cancelled = data.draw(st.sets(st.integers(0, 20), max_size=2),
+                          label="cancelled")
+    items, next_seq = _cohort_items(cohorts, order, gaps, cancelled)
+    window_end = min(t for t, *_ in items) + span
+    (got, got_lists), (want, want_lists) = _both_cohort_paths(
+        items, window_end, next_seq + seq_gap)
+    assert got == want
+    assert got_lists == want_lists
+
+
+def _interleaved(labels: list) -> bool:
+    runs = 1 + sum(a != b for a, b in zip(labels, labels[1:]))
+    return runs >= 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(keys=st.lists(st.tuples(st.sampled_from([2, 3, 4, 6, 12]),
+                               st.integers(min_value=0, max_value=24)),
+                     min_size=2, max_size=2, unique=True),
+       labels=st.lists(st.sampled_from([0, 1]), min_size=3,
+                       max_size=8).filter(_interleaved),
+       span=st.integers(min_value=0, max_value=80),
+       seq_gap=st.integers(min_value=0, max_value=50))
+def test_interleaved_cohort_ranges_are_declined_by_both(keys, labels, span,
+                                                        seq_gap):
+    # Two cohorts in the window whose seq ranges interleave (labels in
+    # seq order, e.g. 0 1 0): neither path may compress the window.
+    items = []
+    for s, k in enumerate(labels):
+        interval, t0 = keys[k]
+        items.append((t0, s, SimpleNamespace(name=f"c{k}"),
+                      SimpleNamespace(_interval_ns=interval,
+                                      _cancelled=False)))
+    items.sort(key=lambda it: (it[0], it[1]))
+    window_end = max(t0 for _, t0 in keys) + span
+    outs = _both_cohort_paths(items, window_end, len(labels) + seq_gap)
+    assert outs[0][0] is None
+    assert outs[1][0] is None
 
 
 def test_suppression_marker_keeps_tiny_windows_correct():

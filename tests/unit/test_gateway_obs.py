@@ -8,6 +8,7 @@ import json
 import math
 import sys
 import threading
+import time
 
 import pytest
 
@@ -127,6 +128,14 @@ class TestDecomposition:
                     obs, record = current[-1]
                     obs.record_reply(record, reply_ns=1_000)
 
+        def check(obs) -> int:
+            summary = obs.summary()
+            # allow_nan=False rejects inf/nan anywhere.
+            json.dumps(summary, allow_nan=False)
+            reply = summary["kinds"]["read"]["reply_write_ms"]
+            assert all(math.isfinite(v) for v in reply.values())
+            return reply["count"]
+
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         thread = threading.Thread(target=replies)
@@ -136,11 +145,13 @@ class TestDecomposition:
                 obs = GatewayObservability(op_kinds=("read",))
                 current.append((obs, _record(obs, 0)))
                 for _ in range(3):
-                    summary = obs.summary()
-                    # allow_nan=False rejects inf/nan anywhere.
-                    json.dumps(summary, allow_nan=False)
-                    reply = summary["kinds"]["read"]["reply_write_ms"]
-                    assert all(math.isfinite(v) for v in reply.values())
+                    check(obs)
+            # Nothing makes the reply thread reach the last recorder
+            # within its three summaries: keep summarizing (still
+            # racing) until a reply lands there, bounded.
+            deadline = time.monotonic() + 5.0
+            while check(obs) == 0 and time.monotonic() < deadline:
+                time.sleep(1e-4)
         finally:
             stop.set()
             thread.join()
