@@ -10,6 +10,7 @@ semantics live in :mod:`repro.gateway.server`.
 
 from __future__ import annotations
 
+import asyncio
 import base64
 import hashlib
 import json
@@ -73,14 +74,20 @@ class Request:
 
 
 async def read_request(reader) -> Optional[Request]:
-    """Read one request off *reader*; None on clean EOF before a byte."""
+    """Read one request off *reader*; None on clean EOF before a byte.
+
+    A head that ends early or outgrows the reader's limit (64 KiB for
+    asyncio servers) raises :class:`WireError`, which the server answers
+    with a 400.
+    """
     try:
         head = await reader.readuntil(b"\r\n\r\n")
-    except Exception as exc:  # IncompleteReadError, LimitOverrun
-        data = getattr(exc, "partial", b"")
-        if not data:
+    except asyncio.IncompleteReadError as exc:
+        if not exc.partial:
             return None
         raise WireError(f"truncated request head: {exc}") from exc
+    except asyncio.LimitOverrunError as exc:
+        raise WireError("request head too large") from exc
     if len(head) > MAX_HEADER_BYTES:
         raise WireError("request head too large")
     try:

@@ -19,8 +19,10 @@ The smoke gate is the digest-parity check from ISSUE 6: checkpoint at
 T, restore, run to T+Δ, and require merged metrics and telemetry to be
 byte-identical to an uninterrupted run — at worker counts 1 and 2 —
 plus cross-version restore (shards whose payloads use the codec-v1
-envelope restore, pass the audit and run on to the same digest),
-migration acceptance (v1 manifest) and rejection (future format).
+envelope, and shards whose summaries carry the ``repr`` RNG digests
+saved before the digest-scheme marker, restore, pass the audit and run
+on to the same digest), migration acceptance (v1 manifest) and
+rejection (future format).
 """
 
 from __future__ import annotations
@@ -186,8 +188,10 @@ def _cmd_smoke(args) -> int:
         digest_document,
         fleet_checkpoint_dirs,
         read_manifest,
+        read_summary,
     )
     from repro.snapshot.codec import _dumps_state_v1, loads_state
+    from repro.snapshot.state import RNG_DIGEST_KEY, _digest, _rng_summary
     from repro.telemetry.config import TelemetryConfig
 
     failures = []
@@ -253,6 +257,36 @@ def _cmd_smoke(args) -> int:
             else:
                 failures.append(
                     f"codec-v1 checkpoint diverges: {digest[:16]} != "
+                    f"{uninterrupted[1][:16]}")
+
+        # Legacy summaries: shards whose summary.json predates the RNG
+        # digest marker (streams digested as the JSON of their repr)
+        # pass the audit in that scheme and run on to the same digest.
+        legacy = root / "ckpt-repr-digests"
+        shutil.copytree(ckpt, legacy)
+        for shard_dir in fleet_checkpoint_dirs(legacy):
+            deployment = loads_state((shard_dir / "state.bin").read_bytes())
+            summary = read_summary(shard_dir)
+            del summary[RNG_DIGEST_KEY]
+            summary["rng"] = _rng_summary(
+                deployment.rng,
+                lambda stream: _digest(repr(stream.getstate())))
+            (shard_dir / "summary.json").write_text(
+                json.dumps(summary, indent=2, sort_keys=True) + "\n")
+            manifest_path = shard_dir / "manifest.json"
+            manifest = json.loads(manifest_path.read_text())
+            manifest["summary_sha256"] = digest_document(summary)
+            manifest_path.write_text(json.dumps(manifest, indent=2))
+        try:
+            digest = digest_document(resume_scenario(legacy).merged)
+        except CheckpointError as exc:
+            failures.append(f"repr-digest summary did not restore: {exc}")
+        else:
+            if digest == uninterrupted[1]:
+                print(f"repr-digest summary restore: ok ({digest[:16]})")
+            else:
+                failures.append(
+                    f"repr-digest checkpoint diverges: {digest[:16]} != "
                     f"{uninterrupted[1][:16]}")
 
         # Migration acceptance: a v1 manifest must load via the hook.

@@ -7,7 +7,8 @@ One checkpoint is one directory::
                       hashes, seed, sim time, shard id, payload digest
       state.bin       the full shard graph (codec envelope: zlib'd
                       structure, then raw RNG stream words)
-      summary.json    plain-data structural summary (diff / audit)
+      summary.json    plain-data structural summary (diff / audit),
+                      compact JSON
 
 A fleet checkpoint is a directory of shard checkpoints plus a
 ``fleet.json`` recording the scenario and the checkpoint instant, so
@@ -20,7 +21,10 @@ checked (:mod:`marshal` bytecode in ``state.bin`` is
 interpreter-specific), payload digest verified, graph unpickled, and
 finally the restored shard is re-summarized and audited against
 ``summary.json`` — a checkpoint that restores into a *different* state
-than was saved fails loudly, not 10k simulated seconds later.
+than was saved fails loudly, not 10k simulated seconds later.  A
+summary without the ``rng_digest`` marker was saved before RNG streams
+were digested from their packed words; its restore is audited with the
+``repr`` digests it was written with.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from typing import Dict, List, Optional
 
 from repro.snapshot.codec import dumps_state, loads_state
 from repro.snapshot.migrate import upgrade_manifest
-from repro.snapshot.state import layer_schemas, shard_summary
+from repro.snapshot.state import RNG_DIGEST_KEY, layer_schemas, shard_summary
 
 #: On-disk checkpoint format version.  v1 spelled the checkpoint
 #: instant ``time_ns``; v2 renamed it ``sim_time_ns`` and added
@@ -59,6 +63,13 @@ def _dump_json(path: Path, document: dict) -> None:
     path.write_text(
         json.dumps(document, indent=2, sort_keys=True, default=repr) + "\n"
     )
+
+
+def _load_json(path: Path, what: str) -> dict:
+    try:
+        return json.loads(path.read_text())
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise CheckpointError(f"corrupt {what} {path}: {exc}") from exc
 
 
 def digest_document(document: dict) -> str:
@@ -109,6 +120,9 @@ def save_shard(
     directory.mkdir(parents=True, exist_ok=True)
 
     summary = shard_summary(deployment)
+    # Compact, so the C encoder writes it: these are the very bytes
+    # digest_document hashes.
+    summary_json = json.dumps(summary, sort_keys=True, default=repr)
     payload = dumps_state(deployment)
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -121,10 +135,10 @@ def save_shard(
         "seq": deployment.sim._seq,
         "layer_schemas": layer_schemas(),
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
-        "summary_sha256": digest_document(summary),
+        "summary_sha256": hashlib.sha256(summary_json.encode()).hexdigest(),
     }
     (directory / _STATE).write_bytes(payload)
-    _dump_json(directory / _SUMMARY, summary)
+    (directory / _SUMMARY).write_text(summary_json + "\n")
     _dump_json(directory / _MANIFEST, manifest)
     return directory
 
@@ -152,18 +166,14 @@ def read_manifest(directory) -> dict:
     path = directory / _MANIFEST
     if not path.is_file():
         raise CheckpointError(f"not a checkpoint: {directory} has no {_MANIFEST}")
-    try:
-        manifest = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"corrupt manifest in {directory}: {exc}") from exc
-    return upgrade_manifest(manifest, FORMAT_VERSION)
+    return upgrade_manifest(_load_json(path, "manifest"), FORMAT_VERSION)
 
 
 def read_summary(directory) -> dict:
     path = Path(directory) / _SUMMARY
     if not path.is_file():
         raise CheckpointError(f"checkpoint {directory} has no {_SUMMARY}")
-    return json.loads(path.read_text())
+    return _load_json(path, "summary")
 
 
 def load_shard(directory, *, audit: bool = True) -> RestoredShard:
@@ -172,7 +182,9 @@ def load_shard(directory, *, audit: bool = True) -> RestoredShard:
     With ``audit`` (the default) the restored shard is re-summarized
     and compared digest-for-digest against the summary written at save
     time; a mismatch means the restore is *not* the saved state and
-    raises :class:`CheckpointError` immediately.
+    raises :class:`CheckpointError` immediately.  A summary saved
+    without the RNG digest marker is compared in its own (``repr``)
+    digest scheme.
     """
     directory = Path(directory)
     manifest = read_manifest(directory)
@@ -195,7 +207,8 @@ def load_shard(directory, *, audit: bool = True) -> RestoredShard:
     deployment = loads_state(payload)
     summary = read_summary(directory)
     if audit:
-        restored = shard_summary(deployment)
+        restored = shard_summary(
+            deployment, legacy_rng=RNG_DIGEST_KEY not in summary)
         if digest_document(restored) != digest_document(summary):
             raise CheckpointError(
                 f"checkpoint {directory} restored into a different state "
@@ -269,9 +282,8 @@ def load_fleet_meta(directory) -> dict:
         raise CheckpointError(
             f"not a fleet checkpoint: {directory} has no {_FLEET_META}"
         )
-    meta = json.loads(path.read_text())
-    meta = upgrade_manifest(meta, FORMAT_VERSION)
-    return meta
+    return upgrade_manifest(_load_json(path, "fleet metadata"),
+                            FORMAT_VERSION)
 
 
 def fleet_checkpoint_dirs(directory) -> List[Path]:

@@ -71,7 +71,7 @@ import struct
 import sys
 import types
 import zlib
-from typing import Any
+from typing import Any, Optional, Tuple
 
 #: Bump when the *codec envelope* changes incompatibly (the layer
 #: schemas carried inside are versioned separately).
@@ -141,6 +141,17 @@ def _make_empty_cell() -> types.CellType:
     return types.CellType()
 
 
+def pack_stream(rng: random.Random) -> Tuple[bytes, Optional[float]]:
+    """A stream's state as its :data:`_MT_WORDS`-packed words and its
+    ``gauss_next`` carry.
+
+    The one byte form of a stream: the reducer below sends these words
+    out of band, and checkpoint summaries digest them.
+    """
+    _, words, gauss_next = rng.getstate()
+    return _MT_WORDS.pack(*words), gauss_next
+
+
 def _make_random(words, gauss_next) -> random.Random:
     """Rebuild a stream from :data:`_MT_WORDS`-packed state."""
     rng = random.Random.__new__(random.Random)
@@ -205,9 +216,8 @@ class SnapshotPickler(pickle.Pickler):
             return (importlib.import_module, (obj.__name__,))
         if type(obj) is random.Random:
             # Subclasses may carry more state; they pickle as stdlib does.
-            _, words, gauss_next = obj.getstate()
-            return (_make_random,
-                    (pickle.PickleBuffer(_MT_WORDS.pack(*words)), gauss_next))
+            words, gauss_next = pack_stream(obj)
+            return (_make_random, (pickle.PickleBuffer(words), gauss_next))
         return NotImplemented
 
 
@@ -297,4 +307,5 @@ __all__ = [
     "SnapshotPickler",
     "dumps_state",
     "loads_state",
+    "pack_stream",
 ]

@@ -35,6 +35,8 @@ import hashlib
 import json
 from typing import Any, Dict, List, Protocol, runtime_checkable
 
+from repro.snapshot.codec import pack_stream
+
 
 @runtime_checkable
 class Checkpointable(Protocol):
@@ -138,24 +140,39 @@ def _sim_summary(sim) -> dict:
     return out
 
 
+#: Top-level summary key naming how the ``rng`` section digests each
+#: stream.  Summaries saved before it existed digest ``repr`` of the
+#: stream state (:func:`_legacy_rng_state_digest`).
+RNG_DIGEST_KEY = "rng_digest"
+RNG_DIGEST_SCHEME = "mt-words"
+
+
 def _rng_state_digest(stream) -> str:
-    """``_digest(repr(stream.getstate()))``, without ``json.dumps``.
+    """sha256 of the stream's packed codec words plus its gauss carry."""
+    words, gauss_next = pack_stream(stream)
+    return hashlib.sha256(words + repr(gauss_next).encode()).hexdigest()[:16]
+
+
+def _legacy_rng_state_digest(stream) -> str:
+    """``_digest(repr(stream.getstate()))``: the digest of summaries
+    without :data:`RNG_DIGEST_KEY`, kept to audit their restores.
 
     The repr of a stream state (ints, a float or None) is pure ASCII
     with no quotes or backslashes, so its JSON encoding is the repr in
-    double quotes: the same bytes, at a fraction of the cost.
+    double quotes.
     """
     blob = '"' + repr(stream.getstate()) + '"'
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _rng_summary(registry, prefix: str = "") -> Dict[str, str]:
+def _rng_summary(registry, digest=_rng_state_digest,
+                 prefix: str = "") -> Dict[str, str]:
     """Flat ``path -> state digest`` map over a registry tree."""
     out: Dict[str, str] = {}
     for name, stream in sorted(registry.streams().items()):
-        out[f"{prefix}{name}"] = _rng_state_digest(stream)
+        out[f"{prefix}{name}"] = digest(stream)
     for name, child in sorted(registry.children().items()):
-        out.update(_rng_summary(child, prefix=f"{prefix}{name}/"))
+        out.update(_rng_summary(child, digest, prefix=f"{prefix}{name}/"))
     return out
 
 
@@ -191,26 +208,33 @@ def _thing_summary(thing) -> dict:
     }
 
 
-def shard_summary(deployment) -> dict:
+def shard_summary(deployment, *, legacy_rng: bool = False) -> dict:
     """Deterministic plain-data summary of one live shard deployment.
 
     A pure function of simulation state: saving it, restoring the
     checkpoint and summarizing again must produce byte-identical JSON —
     that equality is the post-restore audit, and its violation is what
-    ``diff`` renders for bisection.
+    ``diff`` renders for bisection.  ``legacy_rng`` renders the form of
+    summaries saved before :data:`RNG_DIGEST_KEY`: ``repr`` stream
+    digests and no marker.
     """
     summary = {
         "shard": deployment.spec.index,
         "scenario": deployment.scenario.name,
         "seed": deployment.scenario.seed,
         "sim": _sim_summary(deployment.sim),
-        "rng": _rng_summary(deployment.rng),
         "metrics": deployment.metrics.snapshot(),
         "net": dict(vars(deployment.network.stats)),
         "client": _endpoint_summary(deployment.client),
         "manager": _endpoint_summary(deployment.manager),
         "things": [_thing_summary(thing) for thing in deployment.things],
     }
+    if legacy_rng:
+        summary["rng"] = _rng_summary(deployment.rng,
+                                      _legacy_rng_state_digest)
+    else:
+        summary["rng"] = _rng_summary(deployment.rng)
+        summary[RNG_DIGEST_KEY] = RNG_DIGEST_SCHEME
     if deployment.telemetry is not None:
         bank = deployment.telemetry.bank
         summary["telemetry"] = {
@@ -236,6 +260,8 @@ def shard_summary(deployment) -> dict:
 
 
 __all__ = [
+    "RNG_DIGEST_KEY",
+    "RNG_DIGEST_SCHEME",
     "Checkpointable",
     "layer_schemas",
     "schema_hash",

@@ -154,6 +154,20 @@ async def test_healthz(gateway_server):
 
 
 @pytest.mark.asyncio
+async def test_oversized_request_head_gets_a_400(gateway_server):
+    server = await gateway_server(warmup_ns=0)
+    reader, writer = await asyncio.open_connection(server.host, server.port)
+    writer.write(b"GET /healthz HTTP/1.1\r\nX-Filler: " + b"a" * 70_000
+                 + b"\r\n\r\n")
+    await writer.drain()
+    reply = await asyncio.wait_for(reader.read(), timeout=10.0)
+    assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+    assert b"request head too large" in reply
+    writer.close()
+    await server.close()
+
+
+@pytest.mark.asyncio
 async def test_websocket_stream_delivers_fleet_events(gateway_server):
     server = await gateway_server()
     reader, writer = await asyncio.open_connection(server.host, server.port)

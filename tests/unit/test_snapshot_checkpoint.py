@@ -1,5 +1,6 @@
 """Unit tests for checkpoint manifests, migrations, diff and fork."""
 
+import hashlib
 import json
 import random
 
@@ -15,18 +16,24 @@ from repro.snapshot.checkpoint import (
     FORMAT_VERSION,
     CheckpointError,
     digest_document,
+    load_fleet_meta,
     load_shard,
     read_manifest,
     read_summary,
+    save_fleet_meta,
     save_shard,
     scenario_from_dict,
     scenario_to_dict,
 )
+from repro.snapshot.codec import dumps_state, loads_state, pack_stream
 from repro.snapshot.diff import diff_documents, diff_lines
 from repro.snapshot.migrate import register_state_migration, upgrade_state
 from repro.snapshot.state import (
+    RNG_DIGEST_KEY,
     _digest,
+    _legacy_rng_state_digest,
     _rng_state_digest,
+    _rng_summary,
     layer_schemas,
     schema_hash,
     shard_summary,
@@ -50,6 +57,32 @@ def saved(tmp_path_factory):
     deployment = _small_deployment()
     manifest = save_shard(deployment, directory, label="unit")
     return directory, deployment, manifest
+
+
+def _copy_checkpoint(directory, copy):
+    copy.mkdir()
+    for name in ("manifest.json", "summary.json", "state.bin"):
+        (copy / name).write_bytes((directory / name).read_bytes())
+    return copy
+
+
+def _rewrite_manifest(copy, **fields):
+    manifest = json.loads((copy / "manifest.json").read_text())
+    manifest.update(fields)
+    (copy / "manifest.json").write_text(json.dumps(manifest, indent=2))
+
+
+def _rewrite_summary_as_legacy(copy):
+    """Put *copy*'s summary.json in the form saved before the RNG digest
+    marker: ``repr`` stream digests, no marker, indented."""
+    deployment = loads_state((copy / "state.bin").read_bytes())
+    summary = read_summary(copy)
+    del summary[RNG_DIGEST_KEY]
+    summary["rng"] = _rng_summary(deployment.rng, _legacy_rng_state_digest)
+    (copy / "summary.json").write_text(
+        json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _rewrite_manifest(copy, summary_sha256=digest_document(summary))
+    return summary
 
 
 def test_manifest_carries_format_version_and_schema_hashes(saved):
@@ -89,10 +122,7 @@ def test_load_restores_equivalent_summary(saved):
 
 def test_corrupted_payload_is_rejected(saved, tmp_path):
     directory, _, _ = saved
-    copy = tmp_path / "mangled"
-    copy.mkdir()
-    for name in ("manifest.json", "summary.json", "state.bin"):
-        (copy / name).write_bytes((directory / name).read_bytes())
+    copy = _copy_checkpoint(directory, tmp_path / "mangled")
     blob = bytearray((copy / "state.bin").read_bytes())
     blob[len(blob) // 2] ^= 0xFF
     (copy / "state.bin").write_bytes(bytes(blob))
@@ -102,23 +132,15 @@ def test_corrupted_payload_is_rejected(saved, tmp_path):
 
 def test_future_format_version_is_rejected(saved, tmp_path):
     directory, _, _ = saved
-    copy = tmp_path / "future"
-    copy.mkdir()
-    for name in ("manifest.json", "summary.json", "state.bin"):
-        (copy / name).write_bytes((directory / name).read_bytes())
-    manifest = json.loads((copy / "manifest.json").read_text())
-    manifest["format_version"] = FORMAT_VERSION + 1
-    (copy / "manifest.json").write_text(json.dumps(manifest))
+    copy = _copy_checkpoint(directory, tmp_path / "future")
+    _rewrite_manifest(copy, format_version=FORMAT_VERSION + 1)
     with pytest.raises(CheckpointError):
         read_manifest(copy)
 
 
 def test_v1_manifest_migrates(saved, tmp_path):
     directory, _, _ = saved
-    copy = tmp_path / "v1"
-    copy.mkdir()
-    for name in ("manifest.json", "summary.json", "state.bin"):
-        (copy / name).write_bytes((directory / name).read_bytes())
+    copy = _copy_checkpoint(directory, tmp_path / "v1")
     manifest = json.loads((copy / "manifest.json").read_text())
     manifest["format_version"] = 1
     manifest["time_ns"] = manifest.pop("sim_time_ns")
@@ -128,6 +150,72 @@ def test_v1_manifest_migrates(saved, tmp_path):
     assert migrated["format_version"] == FORMAT_VERSION
     assert "sim_time_ns" in migrated
     assert migrated["label"] == ""
+
+
+def test_truncated_summary_raises_checkpoint_error(saved, tmp_path):
+    directory, _, _ = saved
+    copy = _copy_checkpoint(directory, tmp_path / "truncated")
+    text = (copy / "summary.json").read_text()
+    (copy / "summary.json").write_text(text[: len(text) // 2])
+    with pytest.raises(CheckpointError, match="corrupt summary"):
+        read_summary(copy)
+    with pytest.raises(CheckpointError, match="corrupt summary"):
+        load_shard(copy)
+
+
+def test_truncated_fleet_meta_raises_checkpoint_error(tmp_path):
+    scenario = SCENARIOS["smoke"].scaled(things=4, shard_size=4)
+    save_fleet_meta(tmp_path, scenario, sim_time_ns=ns_from_s(1.0), shards=1)
+    assert load_fleet_meta(tmp_path)["shards"] == 1
+    text = (tmp_path / "fleet.json").read_text()
+    (tmp_path / "fleet.json").write_text(text[: len(text) // 2])
+    with pytest.raises(CheckpointError, match="corrupt fleet metadata"):
+        load_fleet_meta(tmp_path)
+
+
+def test_summary_json_is_compact_and_matches_manifest_digest(saved):
+    directory, _, _ = saved
+    text = (directory / "summary.json").read_text()
+    assert "\n" not in text.rstrip("\n")
+    summary = json.loads(text)
+    assert summary[RNG_DIGEST_KEY] == "mt-words"
+    manifest = read_manifest(directory)
+    assert manifest["summary_sha256"] == digest_document(summary)
+
+
+def test_legacy_summary_restores_through_audit(saved, tmp_path):
+    directory, deployment, _ = saved
+    copy = _copy_checkpoint(directory, tmp_path / "legacy")
+    legacy = _rewrite_summary_as_legacy(copy)
+    assert legacy["rng"] != read_summary(directory)["rng"]
+    restored = load_shard(copy)
+    assert restored.summary == legacy
+    assert digest_document(shard_summary(restored.deployment)) == \
+        digest_document(shard_summary(deployment))
+
+
+@pytest.mark.parametrize("legacy", [False, True], ids=["words", "repr"])
+def test_altered_stream_fails_audit_in_both_digest_schemes(
+        saved, tmp_path, legacy):
+    directory, _, _ = saved
+    copy = _copy_checkpoint(directory, tmp_path / "altered")
+    if legacy:
+        _rewrite_summary_as_legacy(copy)
+    deployment = loads_state((copy / "state.bin").read_bytes())
+    registry = deployment.rng
+    while not registry.streams():
+        registry = sorted(registry.children().items())[0][1]
+    name, stream = sorted(registry.streams().items())[0]
+    stream.random()
+    payload = dumps_state(deployment)
+    (copy / "state.bin").write_bytes(payload)
+    _rewrite_manifest(
+        copy, payload_sha256=hashlib.sha256(payload).hexdigest())
+    with pytest.raises(CheckpointError, match="summary digest mismatch"):
+        load_shard(copy)
+    # Only the stream differs: without the audit the state loads.
+    restored = load_shard(copy, audit=False).deployment
+    assert _rng_summary(restored.rng) == _rng_summary(deployment.rng)
 
 
 def test_state_migration_hooks_chain():
@@ -232,7 +320,7 @@ def test_rng_registry_state_round_trip():
     assert "node" in other.children()
 
 
-def test_rng_state_digest_equals_json_digest_of_repr():
+def _digest_streams():
     fresh = random.Random(1)
     drawn = random.Random(2)
     for _ in range(1000):
@@ -240,8 +328,26 @@ def test_rng_state_digest_equals_json_digest_of_repr():
     gaussian = random.Random(3)
     gaussian.gauss(0.0, 1.0)
     assert gaussian.gauss_next is not None
-    for stream in (fresh, drawn, gaussian):
-        assert _rng_state_digest(stream) == _digest(repr(stream.getstate()))
+    return fresh, drawn, gaussian
+
+
+def test_rng_state_digest_hashes_codec_words_and_gauss_carry():
+    for stream in _digest_streams():
+        words, gauss_next = pack_stream(stream)
+        assert len(words) == 625 * 4
+        expected = hashlib.sha256(
+            words + repr(stream.gauss_next).encode()).hexdigest()[:16]
+        assert gauss_next == stream.gauss_next
+        assert _rng_state_digest(stream) == expected
+    carried, dropped = _digest_streams()[2], _digest_streams()[2]
+    dropped.gauss_next = None  # same words, no carry
+    assert _rng_state_digest(carried) != _rng_state_digest(dropped)
+
+
+def test_legacy_rng_state_digest_equals_json_digest_of_repr():
+    for stream in _digest_streams():
+        assert _legacy_rng_state_digest(stream) == \
+            _digest(repr(stream.getstate()))
 
 
 def test_rng_restore_preserves_stream_identity():
