@@ -72,10 +72,15 @@ class EnergyMeter:
         n sequential :meth:`add` calls (a closed-form ``n * joules``
         add rounds differently), because the fleet digest hashes these
         sums.  A hoisted local loop is still ~50x cheaper than n kernel
-        dispatches.
+        dispatches.  ``n == 0`` is a no-op, as zero adds would be: it
+        does not create *category*.
         """
         if joules < 0:
             raise ValueError("energy contributions must be non-negative")
+        if n < 0:
+            raise ValueError("contribution count must be non-negative")
+        if not n:
+            return
         total = self._by_category[category]
         for _ in range(n):
             total += joules

@@ -31,7 +31,8 @@ class _ScheduledEvent:
     compared (``seq`` is unique).  A plain ``__slots__`` class beats the
     previous ``@dataclass(order=True)`` on both allocation cost and the
     per-comparison ``__lt__`` dispatch the old heap paid on every
-    push/pop.
+    push/pop.  A fast-forward window re-keys a certified event in place
+    (``time_ns``, ``seq`` and its heap tuple together).
     """
 
     __slots__ = ("time_ns", "seq", "callback", "name", "cancelled",
@@ -416,7 +417,7 @@ class Simulator:
 
         Seq allocation matches stepping exactly (each skipped firing
         consumes one sequence number, allocated before its callback,
-        matching ``PeriodicHandle._fire``), so the final re-pushed
+        matching ``PeriodicHandle._fire``), so the re-keyed queued
         event of every handle carries the identical (time, seq) key it
         would have had under stepping.  Windows in which no ordered
         handle fires get it in closed form (:meth:`_ff_cohorts`); the
@@ -429,7 +430,8 @@ class Simulator:
         queue = self._queue
         barrier_t: Optional[int] = None
         items: list = []  # (first_time, seq, event, handle)
-        for t, s, ev in queue:
+        heap_pos: dict = {}  # seq -> index of the item's heap entry
+        for pos, (t, s, ev) in enumerate(queue):
             if ev.cancelled:
                 continue
             h = ev.ff
@@ -438,6 +440,7 @@ class Simulator:
                     barrier_t = t
             else:
                 items.append((t, s, ev, h))
+                heap_pos[s] = pos
         window_end = target_ns if barrier_t is None \
             else min(target_ns, barrier_t - 1)
         total = 0
@@ -547,9 +550,11 @@ class Simulator:
         self._seq = seq
 
         profiler = self.profiler
-        # Re-read the heap: an ordered callback may have cancelled work
-        # and tripped _maybe_compact, rebinding ``self._queue``.
-        queue = self._queue
+        if self._queue is not queue:
+            # An ordered callback cancelled work and tripped
+            # _maybe_compact, which rebound the heap: entries moved.
+            queue = self._queue
+            heap_pos = {s: pos for pos, (_, s, _) in enumerate(queue)}
         for i in range(n_items):
             c = counts[i]
             if not c:
@@ -561,19 +566,18 @@ class Simulator:
                 profiler.on_fast_forward(ev.name, c, first_t[i], last_t[i])
             if h._cancelled:
                 # cancel() already tombstoned the placeholder event; no
-                # final occurrence to re-push.
+                # final occurrence to re-key.
                 continue
-            # Consume the stale placeholder (lazy delete, same contract
-            # as handle cancellation) and re-push the handle's one
-            # post-window event with its emulated (time, seq) key.
-            ev.cancelled = True
-            self._tombstones += 1
+            # The handle's queued event becomes its one post-window
+            # event: re-key it in place with the emulated (time, seq)
+            # key, so the handle and its event stay and no tombstone
+            # is left behind.
             ft, fs = final[i]
-            nev = _ScheduledEvent(ft, fs, h._fire, ev.name)
-            nev.ff = h
-            push(queue, (ft, fs, nev))
-            h._handle = EventHandle(nev, self)
-        self._maybe_compact()
+            ev.time_ns = ft
+            ev.seq = fs
+            queue[heap_pos[s0]] = (ft, fs, ev)
+        # Keys only grew; one heapify restores the heap invariant.
+        heapq.heapify(queue)
         self.ff_windows += 1
         self.ff_events += applied
         return applied
@@ -608,7 +612,7 @@ class Simulator:
           first round and keeps the lead.
 
         That is O(cohorts**2) floor divisions per window, and ``_seq``
-        and every re-pushed (time, seq) key match the per-occurrence
+        and every re-keyed (time, seq) key match the per-occurrence
         path bit for bit.
 
         Interleaved ranges (typical right after registration, before a

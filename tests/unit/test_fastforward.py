@@ -469,7 +469,7 @@ def _queue_keys(sim) -> list:
 def test_until_on_a_barrier_event_matches_stepping(stop_after):
     # The predicate flips on an uncertified (barrier) event, so no
     # window may run past it: state, the sequence counter and every
-    # re-pushed (time, seq) key must equal plain stepping's.
+    # re-keyed (time, seq) key must equal plain stepping's.
     horizon = 2_000 * NS_PER_MS
     worlds = [_world(fast_forward=ff) for ff in (False, True)]
     for sim, _, _, _, barriers in worlds:
@@ -612,3 +612,146 @@ def test_fleet_shard_ff_is_starved_by_churn_processes():
     # Fewer than 2% of events were analytically skipped: the certified
     # load (telemetry sampling) is starved of windows by the chains.
     assert sim.ff_events <= 0.02 * (executed + sim.ff_events)
+
+
+def _rekey_world(kind: str, ff: bool):
+    """``(sim, certified handles, samplers)``.  ``cohort``: the
+    fleet-duty shape, whose windows are cohort-accounted once the first
+    one has linearized the seq ranges.  ``ordered``: :func:`_world`
+    with barriers far enough apart that the ordered observer fires
+    inside windows."""
+    if kind == "ordered":
+        sim, a, b, _, _ = _world(fast_forward=ff, barrier_ms=400)
+        samplers = [a, b]
+    else:
+        sim = Simulator()
+        samplers = [Sampler(61 + i) for i in range(6)]
+        for i, s in enumerate(samplers):
+            sim.every((2 if i < 4 else 4) * NS_PER_MS, s.tick,
+                      name=f"s{i}", fast_forward=True, bulk=s.apply)
+
+        def barrier():
+            sim.schedule(97 * NS_PER_MS, barrier, name="barrier")
+
+        sim.schedule(97 * NS_PER_MS, barrier, name="barrier")
+        if ff:
+            sim.enable_fast_forward()
+    handles = sorted((ev.ff for _, _, ev in sim._queue if ev.ff),
+                     key=lambda h: h._handle._event.seq)
+    return sim, handles, samplers
+
+
+def _assert_handles_queued(sim, handles) -> None:
+    """Every live handle's event is queued under the event's own key,
+    the heap is a heap, and ``pending_count()`` is exact."""
+    queue = sim._queue
+    live = {id(ev): (t, s) for t, s, ev in queue if not ev.cancelled}
+    assert sim.pending_count() == len(live)
+    for h in handles:
+        ev = h._handle._event
+        if not h.cancelled:
+            assert live[id(ev)] == (ev.time_ns, ev.seq)
+    assert all(queue[(i - 1) // 2][:2] < queue[i][:2]
+               for i in range(1, len(queue)))
+
+
+def _spy_rekeying(sim, handles) -> list:
+    """Check every applied window of *sim* re-keys in place.  Returns
+    one entry per applied window: True when its seqs were
+    cohort-accounted, False when the cohort plan declined, None when
+    an ordered handle fired in it (no cohort plan is tried)."""
+    window = Simulator._fast_forward_window.__get__(sim)
+    cohorts = Simulator._ff_cohorts.__get__(sim)
+    paths: list = []
+
+    def spy_cohorts(*args):
+        seq = cohorts(*args)
+        paths[-1] = seq is not None
+        return seq
+
+    def spy_window(target_ns):
+        tombstones = sim._tombstones
+        kept = [h._handle for h in handles]
+        paths.append(None)
+        applied = window(target_ns)
+        if not applied:
+            paths.pop()
+            return 0
+        assert sim._tombstones == tombstones
+        assert all(h._handle is handle  # kept its EventHandle
+                   for h, handle in zip(handles, kept))
+        _assert_handles_queued(sim, handles)
+        return applied
+
+    sim._fast_forward_window = spy_window
+    sim._ff_cohorts = spy_cohorts
+    return paths
+
+
+@pytest.mark.parametrize("kind", ["cohort", "ordered"])
+def test_windows_rekey_certified_events_in_place(kind):
+    on, on_handles, on_samplers = _rekey_world(kind, ff=True)
+    off, off_handles, off_samplers = _rekey_world(kind, ff=False)
+    paths = _spy_rekeying(on, on_handles)
+    horizon = 1_000 * NS_PER_MS
+    assert on.run_until(horizon) == off.run_until(horizon)
+    assert (True if kind == "cohort" else None) in paths
+    assert on.pending_count() == off.pending_count()
+    assert _queue_keys(on) == _queue_keys(off)
+    # cancel() through the kept handle suppresses the next occurrence.
+    counts = [s.count for s in on_samplers]
+    for handles in (on_handles, off_handles):
+        handles[0].cancel()
+    assert on.pending_count() == off.pending_count()
+    for sim in (on, off):
+        sim.run_until(2 * horizon)
+    assert on_samplers[0].count == counts[0]
+    assert [s.state() for s in on_samplers] == \
+        [s.state() for s in off_samplers]
+    assert (on.now_ns, on._seq, on.pending_count()) == \
+        (off.now_ns, off._seq, off.pending_count())
+    assert _queue_keys(on) == _queue_keys(off)
+
+
+def test_rekey_finds_events_after_a_mid_window_compaction():
+    # The ordered observer cancels a dozen far-future plain events at
+    # its second firing, so _maybe_compact rebinds the heap inside the
+    # window; the re-key must find each handle's event where the
+    # rebuilt heap put it.
+    def build(ff: bool):
+        sim = Simulator()
+        samplers = [Sampler(5 + i) for i in range(3)]
+        for i, s in enumerate(samplers):
+            sim.every((i + 1) * NS_PER_MS, s.tick, name=f"s{i}",
+                      fast_forward=True, bulk=s.apply)
+        far = [sim.schedule(10_000 * NS_PER_MS, lambda: None, name="far")
+               for _ in range(12)]
+        observations = []
+
+        def observe():
+            observations.append([s.count for s in samplers])
+            if len(observations) == 2:
+                for handle in far:
+                    handle.cancel()
+
+        sim.every(7 * NS_PER_MS, observe, name="observer",
+                  fast_forward=True, independent=False)
+        if ff:
+            sim.enable_fast_forward()
+        return sim, samplers, observations
+
+    on, on_samplers, on_obs = build(True)
+    off, off_samplers, off_obs = build(False)
+    handles = [ev.ff for _, _, ev in on._queue if ev.ff]
+    heap = on._queue
+    for sim in (on, off):
+        sim.run_until(100 * NS_PER_MS)
+    assert on.ff_windows == 1
+    assert on._queue is not heap  # compacted inside the window
+    _assert_handles_queued(on, handles)
+    assert on_obs == off_obs
+    assert [s.state() for s in on_samplers] == \
+        [s.state() for s in off_samplers]
+    assert (on.now_ns, on._seq, on.pending_count()) == \
+        (off.now_ns, off._seq, off.pending_count())
+    assert _queue_keys(on) == _queue_keys(off)

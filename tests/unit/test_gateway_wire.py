@@ -109,3 +109,15 @@ def test_request_head_eof_and_truncation():
     request = _read(b"GET /things HTTP/1.1\r\nHost: x\r\n\r\n",
                     wire.read_request)
     assert (request.method, request.path) == ("GET", "/things")
+
+
+
+@pytest.mark.parametrize("length", [wire.MAX_BODY_BYTES, 1, 3, 4_099])
+def test_ws_read_unmasks_like_the_per_byte_reference(length):
+    # A 1 MiB frame (the largest accepted) and odd lengths that end
+    # part-way through a mask period; _client_frame masks one byte at
+    # a time, as RFC 6455 section 5.3 defines it.
+    payload = _payload(length, length)
+    frame = _client_frame(wire.ws_encode(payload, wire.WS_OP_TEXT),
+                          b"\x9a\x00\xff\x3c")
+    assert _read(frame, wire.ws_read) == (wire.WS_OP_TEXT, payload)

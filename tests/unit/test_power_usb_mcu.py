@@ -36,6 +36,27 @@ def test_meter_rejects_negative():
         EnergyMeter().add("x", -1.0)
 
 
+def test_meter_add_n_of_zero_is_zero_adds():
+    # Zero sequential add() calls create no category, so neither may
+    # add_n(..., 0).
+    meter = EnergyMeter()
+    meter.add_n("sensor", 1.8e-6, 0)
+    assert meter.by_category() == {}
+    meter.add_n("sensor", 1.8e-6, 3)
+    meter.add_n("sensor", 1.8e-6, 0)
+    stepped = EnergyMeter()
+    for _ in range(3):
+        stepped.add("sensor", 1.8e-6)
+    assert meter.by_category() == stepped.by_category()
+
+
+def test_meter_add_n_rejects_a_negative_count():
+    meter = EnergyMeter()
+    with pytest.raises(ValueError, match="count"):
+        meter.add_n("idle", 0.33e-6, -1)
+    assert meter.by_category() == {}
+
+
 # ------------------------------------------------------------------ USB host
 def test_usb_idle_dominates_annual_energy():
     usb = UsbHostModel()
