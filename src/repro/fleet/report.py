@@ -86,6 +86,8 @@ def result_to_json(result: FleetResult) -> dict:
             "sim_events": result.sim_events,
             "events_per_s": result.events_per_s,
             "shards": len(result.shard_snapshots),
+            "ff_windows": result.ff_windows_skipped,
+            "ff_events": result.ff_events_skipped,
         },
         "metrics": result.merged,
     }

@@ -420,17 +420,22 @@ class Simulator:
         matching ``PeriodicHandle._fire``), so the re-keyed queued
         event of every handle carries the identical (time, seq) key it
         would have had under stepping.  Windows in which no ordered
-        handle fires get it in closed form (:meth:`_ff_cohorts`); the
-        rest emulate it occurrence by occurrence in merged order.
-        Independent handles' effects are deferred and applied in
-        per-handle bulk; ordered handles (``independent=False``) fire
-        in place after a flush, observing exactly the state they would
-        have seen.
+        handle fires take one fused pass: the heap scan groups the
+        certified items into cohorts (keeping each item's heap index),
+        :meth:`_ff_cohorts` plans each due cohort's seqs in closed
+        form, and a single loop per cohort applies every member's
+        rounds, re-keys its event in place and reports it.  Bulk trace
+        hooks are called once per event name, with the name's summed
+        count stamped at its last occurrence.  The other windows
+        (:meth:`_ff_emulate`) emulate seq allocation occurrence by
+        occurrence in merged order.
         """
         queue = self._queue
         barrier_t: Optional[int] = None
-        items: list = []  # (first_time, seq, event, handle)
-        heap_pos: dict = {}  # seq -> index of the item's heap entry
+        first_ordered: Optional[int] = None
+        # (interval, first fire) -> [(first fire, seq, event, handle,
+        # heap index)]: the certified items, grouped as they are found.
+        cohorts: dict = {}
         for pos, (t, s, ev) in enumerate(queue):
             if ev.cancelled:
                 continue
@@ -438,15 +443,24 @@ class Simulator:
             if h is None:
                 if barrier_t is None or t < barrier_t:
                     barrier_t = t
+                continue
+            members = cohorts.get((h._interval_ns, t))
+            if members is None:
+                cohorts[(h._interval_ns, t)] = [(t, s, ev, h, pos)]
             else:
-                items.append((t, s, ev, h))
-                heap_pos[s] = pos
+                members.append((t, s, ev, h, pos))
+            if not h._independent and (first_ordered is None
+                                       or t < first_ordered):
+                first_ordered = t
         window_end = target_ns if barrier_t is None \
             else min(target_ns, barrier_t - 1)
+        due: dict = {}
         total = 0
-        for t, _, _, h in items:
-            if t <= window_end:
-                total += (window_end - t) // h._interval_ns + 1
+        for key, members in cohorts.items():
+            interval, t0 = key
+            if t0 <= window_end:
+                due[key] = members
+                total += ((window_end - t0) // interval + 1) * len(members)
         if total < 4:
             # Not worth the scan; suppress re-attempts until the head
             # moves past the barrier (stepping remains exact, so a
@@ -455,7 +469,175 @@ class Simulator:
             self._ff_skip_until = limit + 1
             return 0
 
-        items.sort(key=lambda it: (it[0], it[1]))
+        # An ordered handle due after the window does not count: when
+        # none fires in it, occurrence order among the independent
+        # handles is unobservable and only seq *accounting* has to be
+        # exact, which the cohort plan gets in closed form.
+        if first_ordered is not None and first_ordered <= window_end:
+            plan = None
+        else:
+            plan = self._ff_cohorts(due, window_end, self._seq)
+        if plan is None:
+            return self._ff_emulate(
+                [item for members in cohorts.values() for item in members],
+                window_end)
+        seq, planned = plan
+        self._seq = seq
+        bulks = self._bulk_hooks
+        if bulks:
+            # name -> [occurrences, last occurrence]
+            named: dict = {}
+            for members, _, rounds, last, _ in planned:
+                for item in members:
+                    acc = named.get(item[2].name)
+                    if acc is None:
+                        named[item[2].name] = [rounds, last]
+                    else:
+                        acc[0] += rounds
+                        if last > acc[1]:
+                            acc[1] = last
+            for name, (n, last) in named.items():
+                for b in bulks:
+                    b(last, name, n)
+        profiler = self.profiler
+        now = self._now_ns
+        for members, interval, rounds, last, base in planned:
+            if last > now:
+                now = last
+            ft = last + interval
+            for t0, _, ev, h, pos in members:
+                bulk_cb = h._bulk
+                if bulk_cb is not None:
+                    bulk_cb(rounds)
+                else:
+                    cb = h._callback
+                    for _ in range(rounds):
+                        cb()
+                if self._seq != seq:
+                    raise SimulationError(
+                        f"fast-forward applier for '{ev.name}' scheduled "
+                        f"new work; certified callbacks must not touch "
+                        f"the event queue")
+                # The handle's queued event becomes its one post-window
+                # event: re-key it in place with the planned (time, seq)
+                # key, so the handle and its event stay and no tombstone
+                # is left behind.
+                ev.time_ns = ft
+                ev.seq = base
+                queue[pos] = (ft, base, ev)
+                base += 1
+                if profiler is not None:
+                    profiler.on_fast_forward(ev.name, rounds, t0, last)
+        self._now_ns = now
+        if self._queue is not queue:
+            # An applier cancelled work and tripped _maybe_compact,
+            # which rebound the heap mid-loop: take every key afresh
+            # from its event.
+            queue = self._queue
+            queue[:] = [(ev.time_ns, ev.seq, ev) for _, _, ev in queue]
+        # Keys only grew; one heapify restores the heap invariant.
+        heapq.heapify(queue)
+        self.ff_windows += 1
+        self.ff_events += total
+        return total
+
+    @staticmethod
+    def _ff_cohorts(cohorts: dict, window_end: int, seq: int):
+        """Closed-form seq plan for a window's cohorts; None = not
+        applicable.
+
+        *cohorts* maps ``(interval, first fire)`` to the window items
+        sharing it (``item[1]`` is the item's queued seq; multi-member
+        lists are sorted by seq in place).  Such a *cohort* fires at
+        identical timestamps forever, in a fixed relative order.  When
+        every cohort's current seq set forms a contiguous-block range
+        disjoint from every other cohort's, merged order at any shared
+        timestamp is whole blocks ordered by block base, and each round
+        hands the firing cohorts fresh consecutive blocks, so the
+        layout holds for the whole window.  Seq accounting then needs
+        no emulation at all:
+
+        * cohort k (interval I, first fire t0, n members) fires
+          ``R = (window_end - t0) // I + 1`` rounds, the last at
+          ``L = t0 + (R - 1) * I``;
+        * the block base of that last round is ``seq + n * (R - 1)``
+          plus, for every other cohort j, ``n_j`` times the rounds j
+          fired before L, counting a round at L itself when j pops
+          first there;
+        * at a shared instant a cohort on its first round pops first
+          (its key is its pre-window seq, below every base allocated
+          in the window; two such cohorts go by that seq); otherwise
+          the larger interval pops first (its previous round, and so
+          its block base, is earlier); equal intervals with different
+          phase are ordered by the later first fire, which led at its
+          first round and keeps the lead.
+
+        Returns ``(end seq, [(members, interval, R, L, base), ...])``,
+        cohorts in pre-window seq order; member m of a cohort is
+        re-keyed to ``(L + I, base + m)``.  That is O(cohorts**2) floor
+        divisions per window, and the end seq and every key match the
+        per-occurrence path bit for bit.
+
+        Interleaved ranges (typical right after registration, before a
+        first window linearizes them) return None and the exact
+        per-occurrence path runs; the window after that, ranges are
+        blocks and this path engages.
+        """
+        ranked = []
+        for (interval, t0), members in cohorts.items():
+            if len(members) > 1:
+                members.sort()
+            rounds = (window_end - t0) // interval + 1
+            ranked.append((members[0][1], members[-1][1], interval, t0,
+                           t0 + (rounds - 1) * interval, rounds, members))
+        if len(ranked) > 1:
+            # Sorted by pre-window seq, so list position breaks
+            # first-round ties.
+            ranked.sort()
+            prev_hi = -1
+            for cohort in ranked:
+                if cohort[0] <= prev_hi:
+                    return None
+                prev_hi = cohort[1]
+        end_seq = seq
+        planned = []
+        for k, (_, _, interval, t0, last, rounds, members) in \
+                enumerate(ranked):
+            end_seq += rounds * len(members)
+            base = seq + (rounds - 1) * len(members)
+            k_first = t0 == last
+            for j, (_, _, ij, tj, _, _, jmembers) in enumerate(ranked):
+                if j == k or tj > last:
+                    continue
+                before = (last - tj) // ij
+                if before * ij == last - tj:
+                    # j also fires at ``last``: count that round if j
+                    # pops first there.
+                    j_first = tj == last
+                    if j_first or k_first:
+                        leads = j_first and (not k_first or j < k)
+                    else:
+                        leads = ij > interval or (
+                            ij == interval and tj > t0)
+                    before += leads
+                else:
+                    before += 1
+                base += before * len(jmembers)
+            planned.append((members, interval, rounds, last, base))
+        return end_seq, planned
+
+    def _ff_emulate(self, items: list, window_end: int) -> int:
+        """The per-occurrence window path: ordered handles, or cohort
+        seq ranges that interleave.
+
+        Emulates seq allocation occurrence by occurrence in merged
+        order.  Independent handles' effects are deferred and applied
+        in per-handle bulk; ordered handles (``independent=False``)
+        fire in place after a flush, observing exactly the state they
+        would have seen.
+        """
+        queue = self._queue
+        items.sort()  # by (first time, seq): seqs are unique
         n_items = len(items)
         pending = [0] * n_items
         counts = [0] * n_items
@@ -495,61 +677,48 @@ class Simulator:
                         f"new work; certified callbacks must not touch "
                         f"the event queue")
 
-        cohort_seq = None
-        if all(it[3]._independent for it in items if it[0] <= window_end):
-            # No ordered handle fires in the window (one due after it
-            # does not count): occurrence order among the independent
-            # handles is unobservable, so only seq *accounting* has to
-            # be exact, which cohorts get in closed form.
-            cohort_seq = self._ff_cohorts(
-                items, window_end, seq, counts, first_t, last_t, final)
-        if cohort_seq is not None:
-            seq = cohort_seq
-            applied = sum(counts)
-            pending[:] = counts
+        emu = [(t, s, i) for i, (t, s, ev, h, _) in enumerate(items)
+               if t <= window_end]
+        heapq.heapify(emu)
+        while emu:
+            t, s, i = pop(emu)
+            h = items[i][3]
+            if h._cancelled:
+                # Cancelled mid-window (by an ordered callback): the
+                # remaining occurrences must not be applied.
+                continue
+            nseq = seq
+            seq += 1
+            counts[i] += 1
+            if counts[i] == 1:
+                first_t[i] = t
+            last_t[i] = t
+            applied += 1
+            nt = t + h._interval_ns
+            if nt <= window_end:
+                push(emu, (nt, nseq, i))
+            else:
+                final[i] = (nt, nseq)
+            if h._independent:
+                pending[i] += 1
+                continue
             flush()
-        else:
-            emu = [(t, s, i) for i, (t, s, ev, h) in enumerate(items)
-                   if t <= window_end]
-            heapq.heapify(emu)
-            while emu:
-                t, s, i = pop(emu)
-                h = items[i][3]
-                if h._cancelled:
-                    # Cancelled mid-window (by an ordered callback): the
-                    # remaining occurrences must not be applied.
-                    continue
-                nseq = seq
-                seq += 1
-                counts[i] += 1
-                if counts[i] == 1:
-                    first_t[i] = t
-                last_t[i] = t
-                applied += 1
-                nt = t + h._interval_ns
-                if nt <= window_end:
-                    push(emu, (nt, nseq, i))
-                else:
-                    final[i] = (nt, nseq)
-                if h._independent:
-                    pending[i] += 1
-                    continue
-                flush()
-                self._now_ns = t
-                self._seq = seq
-                name = items[i][2].name
-                for hook in hooks:
-                    hook(t, name)
-                h._callback()
-                if self._seq != seq:
-                    raise SimulationError(
-                        f"fast-forwarded event '{name}' scheduled new "
-                        f"work; only schedule-free callbacks may be "
-                        f"certified")
-            flush()
+            self._now_ns = t
+            self._seq = seq
+            name = items[i][2].name
+            for hook in hooks:
+                hook(t, name)
+            h._callback()
+            if self._seq != seq:
+                raise SimulationError(
+                    f"fast-forwarded event '{name}' scheduled new "
+                    f"work; only schedule-free callbacks may be "
+                    f"certified")
+        flush()
         self._seq = seq
 
         profiler = self.profiler
+        heap_pos = None
         if self._queue is not queue:
             # An ordered callback cancelled work and tripped
             # _maybe_compact, which rebound the heap: entries moved.
@@ -559,7 +728,7 @@ class Simulator:
             c = counts[i]
             if not c:
                 continue
-            t0, s0, ev, h = items[i]
+            t0, s0, ev, h, pos = items[i]
             if last_t[i] > self._now_ns:
                 self._now_ns = last_t[i]
             if profiler is not None:
@@ -568,107 +737,16 @@ class Simulator:
                 # cancel() already tombstoned the placeholder event; no
                 # final occurrence to re-key.
                 continue
-            # The handle's queued event becomes its one post-window
-            # event: re-key it in place with the emulated (time, seq)
-            # key, so the handle and its event stay and no tombstone
-            # is left behind.
+            # Re-keyed in place with the emulated key, as in the fused
+            # pass.
             ft, fs = final[i]
             ev.time_ns = ft
             ev.seq = fs
-            queue[heap_pos[s0]] = (ft, fs, ev)
-        # Keys only grew; one heapify restores the heap invariant.
+            queue[pos if heap_pos is None else heap_pos[s0]] = (ft, fs, ev)
         heapq.heapify(queue)
         self.ff_windows += 1
         self.ff_events += applied
         return applied
-
-    def _ff_cohorts(self, items, window_end: int, seq: int, counts,
-                    first_t, last_t, final) -> Optional[int]:
-        """Closed-form cohort accounting for a window; None = not
-        applicable.
-
-        A *cohort* is the set of window items sharing (interval, next
-        fire time): its members fire at identical timestamps forever,
-        in a fixed relative order.  When every cohort's current seq
-        set forms a contiguous-block range disjoint from every other
-        cohort's, merged order at any shared timestamp is whole blocks
-        ordered by block base, and each round hands the firing cohorts
-        fresh consecutive blocks, so the layout holds for the whole
-        window.  Seq accounting then needs no emulation at all:
-
-        * cohort k (interval I, first fire t0, n members) fires
-          ``R = (window_end - t0) // I + 1`` rounds, the last at
-          ``L = t0 + (R - 1) * I``;
-        * the block base of that last round is ``seq + n * (R - 1)``
-          plus, for every other cohort j, ``n_j`` times the rounds j
-          fired before L, counting a round at L itself when j pops
-          first there;
-        * at a shared instant a cohort on its first round pops first
-          (its key is its pre-window seq, below every base allocated
-          in the window; two such cohorts go by that seq); otherwise
-          the larger interval pops first (its previous round, and so
-          its block base, is earlier); equal intervals with different
-          phase are ordered by the later first fire, which led at its
-          first round and keeps the lead.
-
-        That is O(cohorts**2) floor divisions per window, and ``_seq``
-        and every re-keyed (time, seq) key match the per-occurrence
-        path bit for bit.
-
-        Interleaved ranges (typical right after registration, before a
-        first window linearizes them) return None and the exact
-        per-occurrence path runs; the window after that, ranges are
-        blocks and this path engages.
-        """
-        groups: dict = {}
-        for idx, (t, s, ev, h) in enumerate(items):
-            if t > window_end or h._cancelled:
-                continue
-            groups.setdefault((h._interval_ns, t), []).append((s, idx))
-        cohorts = []
-        for (interval, t0), members in groups.items():
-            members.sort()
-            rounds = (window_end - t0) // interval + 1
-            cohorts.append((members[0][0], members[-1][0], interval, t0,
-                            t0 + (rounds - 1) * interval, rounds,
-                            [i for _, i in members]))
-        # Sorted by pre-window seq, so list position breaks first-round
-        # ties.
-        cohorts.sort()
-        prev_hi = -1
-        for lo, hi, *_ in cohorts:
-            if lo <= prev_hi:
-                return None
-            prev_hi = hi
-        end_seq = seq
-        for k, (_, _, interval, t0, last, rounds, idxs) in \
-                enumerate(cohorts):
-            end_seq += rounds * len(idxs)
-            base = seq + (rounds - 1) * len(idxs)
-            k_first = t0 == last
-            for j, (_, _, ij, tj, _, _, jdxs) in enumerate(cohorts):
-                if j == k or tj > last:
-                    continue
-                before = (last - tj) // ij
-                if before * ij == last - tj:
-                    # j also fires at ``last``: count that round if j
-                    # pops first there.
-                    j_first = tj == last
-                    if j_first or k_first:
-                        leads = j_first and (not k_first or j < k)
-                    else:
-                        leads = ij > interval or (
-                            ij == interval and tj > t0)
-                    before += leads
-                else:
-                    before += 1
-                base += before * len(jdxs)
-            for m, i in enumerate(idxs):
-                counts[i] = rounds
-                first_t[i] = t0
-                last_t[i] = last
-                final[i] = (last + interval, base + m)
-        return end_seq
 
     def run_for(self, duration_ns: int, *, max_events: Optional[int] = None) -> int:
         """Run for ``duration_ns`` of simulated time from now."""
@@ -842,7 +920,10 @@ class Simulator:
         """Register a hook called (time_ns, event_name) before each event.
 
         ``bulk(time_ns, name, n)`` is the hook's aggregated variant; it
-        must equal n per-event calls.  A hook without one sets
+        must equal n per-event calls.  One bulk call may cover the
+        occurrences of several handles sharing *name* (a fast-forward
+        window calls it once per event name), stamped with the time of
+        the last of them.  A hook without one sets
         :attr:`needs_per_event`, which keeps fast-forward disengaged.
         """
         self._trace_hooks.append(hook)

@@ -60,9 +60,8 @@ def _python_tag() -> str:
 
 
 def _dump_json(path: Path, document: dict) -> None:
-    path.write_text(
-        json.dumps(document, indent=2, sort_keys=True, default=repr) + "\n"
-    )
+    # Compact, so the C encoder writes it; readers take any layout.
+    path.write_text(json.dumps(document, sort_keys=True, default=repr) + "\n")
 
 
 def _load_json(path: Path, what: str) -> dict:
@@ -119,11 +118,14 @@ def save_shard(
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
-    summary = shard_summary(deployment)
+    # The codec packs each RNG stream once; the summary digests those
+    # same words.
+    packed: dict = {}
+    payload = dumps_state(deployment, packed=packed)
+    summary = shard_summary(deployment, packed=packed)
     # Compact, so the C encoder writes it: these are the very bytes
     # digest_document hashes.
     summary_json = json.dumps(summary, sort_keys=True, default=repr)
-    payload = dumps_state(deployment)
     manifest = {
         "format_version": FORMAT_VERSION,
         "codec_python": _python_tag(),

@@ -180,7 +180,16 @@ def _importable(obj: Any) -> bool:
 
 
 class SnapshotPickler(pickle.Pickler):
-    """Pickler that additionally serializes closures, cells, modules."""
+    """Pickler that additionally serializes closures, cells, modules.
+
+    When *packed* is a dict, each stream the reducer packs is recorded
+    in it as ``id(stream) -> (stream, words, gauss_next)``.
+    """
+
+    def __init__(self, *args, packed: Optional[dict] = None,
+                 **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.packed = packed
 
     def reducer_override(self, obj):  # noqa: C901 - a dispatch table
         if isinstance(obj, types.FunctionType):
@@ -217,21 +226,26 @@ class SnapshotPickler(pickle.Pickler):
         if type(obj) is random.Random:
             # Subclasses may carry more state; they pickle as stdlib does.
             words, gauss_next = pack_stream(obj)
+            if self.packed is not None:
+                self.packed[id(obj)] = (obj, words, gauss_next)
             return (_make_random, (pickle.PickleBuffer(words), gauss_next))
         return NotImplemented
 
 
-def dumps_state(obj: Any) -> bytes:
+def dumps_state(obj: Any, *, packed: Optional[dict] = None) -> bytes:
     """Serialize *obj* (a full shard graph or any sub-graph) to bytes.
 
     The in-band pickle (structure) is zlib-compressed; the RNG stream
     words travel out of band and are appended raw (see the module
-    docstring for the envelope).
+    docstring for the envelope).  A *packed* dict collects each
+    stream's packed words (see :class:`SnapshotPickler`), so a caller
+    digesting the same streams need not pack them again.
     """
     stream = io.BytesIO()
     buffers: list = []
-    SnapshotPickler(stream, protocol=5,
-                    buffer_callback=buffers.append).dump(obj)
+    # A temporary pickler: its memo is freed before the compress.
+    SnapshotPickler(stream, protocol=5, buffer_callback=buffers.append,
+                    packed=packed).dump(obj)
     inband = zlib.compress(stream.getbuffer(), 6)
     lengths = [buf.raw().nbytes for buf in buffers]
     header = _HEADER.pack(len(inband), len(buffers)) + struct.pack(

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Protocol, runtime_checkable
+from typing import Any, Dict, List, Optional, Protocol, runtime_checkable
 
 from repro.snapshot.codec import pack_stream
 
@@ -147,9 +147,18 @@ RNG_DIGEST_KEY = "rng_digest"
 RNG_DIGEST_SCHEME = "mt-words"
 
 
-def _rng_state_digest(stream) -> str:
-    """sha256 of the stream's packed codec words plus its gauss carry."""
-    words, gauss_next = pack_stream(stream)
+def _rng_state_digest(stream, packed: Optional[dict] = None) -> str:
+    """sha256 of the stream's packed codec words plus its gauss carry.
+
+    *packed* holds words the codec already packed (``dumps_state(...,
+    packed=...)``); a stream missing from it is packed here.  Each
+    entry keeps its stream alive, so its ``id`` names no other object.
+    """
+    entry = packed.get(id(stream)) if packed else None
+    if entry is not None:
+        _, words, gauss_next = entry
+    else:
+        words, gauss_next = pack_stream(stream)
     return hashlib.sha256(words + repr(gauss_next).encode()).hexdigest()[:16]
 
 
@@ -208,7 +217,8 @@ def _thing_summary(thing) -> dict:
     }
 
 
-def shard_summary(deployment, *, legacy_rng: bool = False) -> dict:
+def shard_summary(deployment, *, legacy_rng: bool = False,
+                  packed: Optional[dict] = None) -> dict:
     """Deterministic plain-data summary of one live shard deployment.
 
     A pure function of simulation state: saving it, restoring the
@@ -216,7 +226,9 @@ def shard_summary(deployment, *, legacy_rng: bool = False) -> dict:
     that equality is the post-restore audit, and its violation is what
     ``diff`` renders for bisection.  ``legacy_rng`` renders the form of
     summaries saved before :data:`RNG_DIGEST_KEY`: ``repr`` stream
-    digests and no marker.
+    digests and no marker.  *packed* passes the stream words a
+    ``dumps_state(..., packed=...)`` of the same state recorded; the
+    summary is the same with or without it.
     """
     summary = {
         "shard": deployment.spec.index,
@@ -233,7 +245,9 @@ def shard_summary(deployment, *, legacy_rng: bool = False) -> dict:
         summary["rng"] = _rng_summary(deployment.rng,
                                       _legacy_rng_state_digest)
     else:
-        summary["rng"] = _rng_summary(deployment.rng)
+        summary["rng"] = _rng_summary(
+            deployment.rng,
+            lambda stream: _rng_state_digest(stream, packed))
         summary[RNG_DIGEST_KEY] = RNG_DIGEST_SCHEME
     if deployment.telemetry is not None:
         bank = deployment.telemetry.bank

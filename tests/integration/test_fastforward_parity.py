@@ -11,6 +11,7 @@ uninterrupted run.
 
 import pytest
 
+from repro.fleet.report import result_to_json
 from repro.fleet.runner import CheckpointPlan, resume_scenario, run_scenario
 from repro.fleet.scenario import SCENARIOS
 from repro.snapshot.checkpoint import digest_document
@@ -32,6 +33,18 @@ def test_fast_forward_is_digest_neutral(seed, workers):
     assert on.ff_windows_skipped > 0
     assert on.ff_events_skipped > 0
     assert off.ff_windows_skipped == 0
+
+
+def test_json_execution_block_reports_fast_forward_totals():
+    # The --json document carries the skip totals, so an on/off metrics
+    # comparison can show fast-forward actually engaged.
+    on = run_scenario(_duty(3, fast_forward=True), workers=1)
+    off = run_scenario(_duty(3), workers=1)
+    on_exec = result_to_json(on)["execution"]
+    off_exec = result_to_json(off)["execution"]
+    assert on_exec["ff_windows"] == on.ff_windows_skipped > 0
+    assert on_exec["ff_events"] == on.ff_events_skipped > 0
+    assert off_exec["ff_windows"] == off_exec["ff_events"] == 0
 
 
 @pytest.mark.parametrize("workers", [1, 2])

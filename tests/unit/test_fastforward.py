@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.obs.tracer import install_tracer
 from repro.profile.collector import ShardProfiler
 from repro.profile.config import ProfileConfig
-from repro.sim.kernel import NS_PER_MS, Simulator
+from repro.sim.kernel import NS_PER_MS, SimulationError, Simulator
 from repro.snapshot.codec import dumps_state, loads_state
 
 
@@ -261,7 +261,7 @@ def test_ordered_handle_due_after_the_window_keeps_the_cohort_path():
         if ff:
             sim.enable_fast_forward()
             window = Simulator._fast_forward_window.__get__(sim)
-            cohorts = Simulator._ff_cohorts.__get__(sim)
+            cohorts = Simulator._ff_cohorts
 
             def spy_window(target_ns):
                 before = len(observations)
@@ -288,31 +288,24 @@ def test_ordered_handle_due_after_the_window_keeps_the_cohort_path():
     on, windows = build(True)
     off, _ = build(False)
     assert on == off
-    quiet = [seq for fired, seq in windows if not fired]
+    quiet = [plan for fired, plan in windows if not fired]
     assert len(quiet) >= 90
-    assert all(seq is not None for seq in quiet)
+    assert all(plan is not None for plan in quiet)
 
 
-def heap_cohorts(items, window_end, seq, counts, first_t, last_t, final):
-    """Reference cohort accounting: one heap transaction per cohort
-    round, keyed (time, block base) exactly as merged stepping orders
-    the rounds.  The oracle for :meth:`Simulator._ff_cohorts`, which
-    computes the same outputs in closed form."""
-    groups: dict = {}
-    for idx, (t, s, ev, h) in enumerate(items):
-        if t > window_end or h._cancelled:
-            continue
-        groups.setdefault((h._interval_ns, t), []).append((s, idx))
-    if not groups:
-        return seq
+def heap_cohorts(cohorts, window_end, seq):
+    """Reference cohort plan: one heap transaction per cohort round,
+    keyed (time, block base) exactly as merged stepping orders the
+    rounds.  The oracle for :meth:`Simulator._ff_cohorts`, which
+    computes the same plan in closed form."""
     metas = []
     ranges = []
-    for (interval, t0), members in groups.items():
-        members.sort()
-        # meta: [interval, member idxs in seq order, rounds,
-        #        last allocation base, first fire, last fire]
-        metas.append([interval, [i for _, i in members], 0, 0, 0, 0])
-        ranges.append((members[0][0], members[-1][0], t0, len(metas) - 1))
+    for (interval, t0), members in cohorts.items():
+        members = sorted(members, key=lambda it: it[1])
+        # meta: [interval, members in seq order, rounds,
+        #        last allocation base, last fire]
+        metas.append([interval, members, 0, 0, 0])
+        ranges.append((members[0][1], members[-1][1], t0, len(metas) - 1))
     ranges.sort()
     prev_hi = -1
     heap = []
@@ -327,23 +320,26 @@ def heap_cohorts(items, window_end, seq, counts, first_t, last_t, final):
         meta = metas[k]
         base = seq
         seq += len(meta[1])
-        if meta[2] == 0:
-            meta[4] = t
         meta[2] += 1
         meta[3] = base
-        meta[5] = t
+        meta[4] = t
         nt = t + meta[0]
         if nt <= window_end:
             heapq.heappush(heap, (nt, base, k))
-    for interval, idxs, rounds, base, ft, lt in metas:
-        if not rounds:
-            continue
-        for j, i in enumerate(idxs):
-            counts[i] = rounds
-            first_t[i] = ft
-            last_t[i] = lt
-            final[i] = (lt + interval, base + j)
-    return seq
+    return seq, [(members, interval, rounds, last, base)
+                 for interval, members, rounds, base, last in metas]
+
+
+def _window_cohorts(items, window_end) -> dict:
+    """The plan's input, grouped as the kernel groups a window: items
+    due in the window by (interval, first fire); a cancelled handle's
+    event is a tombstone the kernel's scan never collects."""
+    cohorts: dict = {}
+    for item in items:
+        t, _, _, h = item
+        if t <= window_end and not h._cancelled:
+            cohorts.setdefault((h._interval_ns, t), []).append(item)
+    return cohorts
 
 
 def _cohort_items(cohorts, order, gaps, cancelled):
@@ -366,10 +362,25 @@ def _cohort_items(cohorts, order, gaps, cancelled):
 
 
 def _both_cohort_paths(items, window_end, seq):
+    """``(end seq or None, [counts, first fire, last fire, final key]
+    per item)`` from the closed-form plan and from the heap oracle."""
     outs = []
-    for plan in (Simulator()._ff_cohorts, heap_cohorts):
+    for plan in (Simulator._ff_cohorts, heap_cohorts):
         lists = [[0] * len(items) for _ in range(3)] + [[None] * len(items)]
-        outs.append((plan(items, window_end, seq, *lists), lists))
+        out = plan(_window_cohorts(items, window_end), window_end, seq)
+        if out is None:
+            outs.append((None, lists))
+            continue
+        end_seq, planned = out
+        index = {id(item): i for i, item in enumerate(items)}
+        for members, interval, rounds, last, base in planned:
+            for m, item in enumerate(members):
+                i = index[id(item)]
+                lists[0][i] = rounds
+                lists[1][i] = item[0]
+                lists[2][i] = last
+                lists[3][i] = (last + interval, base + m)
+        outs.append((end_seq, lists))
     return outs
 
 
@@ -661,13 +672,13 @@ def _spy_rekeying(sim, handles) -> list:
     cohort-accounted, False when the cohort plan declined, None when
     an ordered handle fired in it (no cohort plan is tried)."""
     window = Simulator._fast_forward_window.__get__(sim)
-    cohorts = Simulator._ff_cohorts.__get__(sim)
+    cohorts = Simulator._ff_cohorts
     paths: list = []
 
     def spy_cohorts(*args):
-        seq = cohorts(*args)
-        paths[-1] = seq is not None
-        return seq
+        plan = cohorts(*args)
+        paths[-1] = plan is not None
+        return plan
 
     def spy_window(target_ns):
         tombstones = sim._tombstones
@@ -750,6 +761,155 @@ def test_rekey_finds_events_after_a_mid_window_compaction():
     assert on._queue is not heap  # compacted inside the window
     _assert_handles_queued(on, handles)
     assert on_obs == off_obs
+    assert [s.state() for s in on_samplers] == \
+        [s.state() for s in off_samplers]
+    assert (on.now_ns, on._seq, on.pending_count()) == \
+        (off.now_ns, off._seq, off.pending_count())
+    assert _queue_keys(on) == _queue_keys(off)
+
+
+def _named_world(ff: bool, log: list):
+    """Mixed-name cohorts: each (interval, phase) cohort holds handles
+    of two names, and each name spans two intervals.  The trace hook
+    logs ``(t, name)`` per stepped event; with *ff*, its bulk variant
+    logs ``(t, name, n)``."""
+    sim = Simulator()
+    samplers = [Sampler(71 + i) for i in range(8)]
+    for i, s in enumerate(samplers):
+        sim.every((2 if i % 4 < 2 else 6) * NS_PER_MS, s.tick,
+                  name="even" if i % 2 == 0 else "odd",
+                  fast_forward=True, bulk=s.apply)
+
+    def barrier():
+        sim.schedule(89 * NS_PER_MS, barrier, name="barrier")
+
+    sim.schedule(89 * NS_PER_MS, barrier, name="barrier")
+    sim.add_trace_hook(lambda t, name: log.append((t, name)),
+                       bulk=lambda t, name, n: log.append((t, name, n)))
+    if ff:
+        sim.enable_fast_forward()
+    return sim, samplers
+
+
+def test_bulk_hooks_are_called_once_per_name_per_window():
+    # A fused window calls a bulk hook once per event name, with the
+    # name's summed count stamped at its last occurrence: per window
+    # and in total, exactly the stepped run's per-event calls.
+    horizon = 1_000 * NS_PER_MS
+    stepped: list = []
+    off, off_samplers = _named_world(False, stepped)
+    off.run_until(horizon)
+
+    log: list = []
+    on, on_samplers = _named_world(True, log)
+    window = Simulator._fast_forward_window.__get__(on)
+    windows: list = []  # [start, end, planned, first log index]
+
+    def spy_window(target_ns):
+        windows.append([on._queue[0][0], None, False, len(log)])
+        applied = window(target_ns)
+        windows[-1][1] = on.now_ns
+        if not applied:
+            windows.pop()
+        return applied
+
+    def spy_cohorts(*args):
+        plan = Simulator._ff_cohorts(*args)
+        windows[-1][2] = plan is not None
+        return plan
+
+    on._fast_forward_window = spy_window
+    on._ff_cohorts = spy_cohorts
+    on.run_until(horizon)
+    assert [s.state() for s in on_samplers] == \
+        [s.state() for s in off_samplers]
+    assert len(windows) == on.ff_windows > 0
+    assert sum(planned for _, _, planned, _ in windows) >= 5
+    bounds = [w[3] for w in windows] + [len(log)]
+    for (start, end, planned, _), lo, hi in zip(windows, bounds,
+                                                bounds[1:]):
+        bulk_calls = [call for call in log[lo:hi] if len(call) == 3]
+        names = [name for _, name, _ in bulk_calls]
+        if planned:
+            assert sorted(names) == ["even", "odd"]
+        for name in set(names):
+            occurrences = [t for t, nm in stepped
+                           if nm == name and start <= t <= end]
+            assert sum(n for _, nm, n in bulk_calls
+                       if nm == name) == len(occurrences)
+            assert max(t for t, nm, _ in bulk_calls
+                       if nm == name) == max(occurrences)
+    totals: dict = {}
+    for call in log:
+        totals[call[1]] = totals.get(call[1], 0) + \
+            (call[2] if len(call) == 3 else 1)
+    want: dict = {}
+    for _, name in stepped:
+        want[name] = want.get(name, 0) + 1
+    assert totals == want
+
+
+@pytest.mark.parametrize("with_bulk", [True, False],
+                         ids=["bulk", "callback"])
+def test_applier_scheduling_in_a_fused_window_raises(with_bulk):
+    # One independent cohort, so the window takes the fused path; the
+    # applier (bulk or repeated callback) schedules work, which the
+    # per-applier seq guard must catch and name.
+    sim = Simulator()
+    quiet = [Sampler(3 + i) for i in range(3)]
+    for i, s in enumerate(quiet):
+        sim.every(2 * NS_PER_MS, s.tick, name=f"quiet{i}",
+                  fast_forward=True, bulk=s.apply)
+
+    def sneak(*_):
+        sim.schedule(NS_PER_MS, lambda: None, name="sneaked")
+
+    sim.every(2 * NS_PER_MS, sneak, name="sneaky", fast_forward=True,
+              bulk=sneak if with_bulk else None)
+    sim.enable_fast_forward()
+    plans: list = []
+    sim._ff_cohorts = lambda *args: plans.append(
+        Simulator._ff_cohorts(*args)) or plans[-1]
+    with pytest.raises(SimulationError, match="'sneaky'"):
+        sim.run_until(100 * NS_PER_MS)
+    assert plans and plans[-1] is not None
+
+
+def test_fused_rekey_survives_an_applier_compacting_the_heap():
+    # An applier that cancels far-future work trips _maybe_compact in
+    # the middle of the fused loop; every certified event must still
+    # sit in the heap under its planned key, as under stepping.
+    def build(ff: bool):
+        sim = Simulator()
+        samplers = [Sampler(13 + i) for i in range(4)]
+        far = [sim.schedule(10_000 * NS_PER_MS, lambda: None, name="far")
+               for _ in range(12)]
+
+        def cancel_far(*_):
+            for handle in far:
+                handle.cancel()
+
+        for i, s in enumerate(samplers):
+            sim.every(3 * NS_PER_MS, s.tick, name=f"s{i}",
+                      fast_forward=True, bulk=s.apply)
+        sim.every(3 * NS_PER_MS, cancel_far, name="canceller",
+                  fast_forward=True, bulk=cancel_far)
+        for s in samplers[2:]:
+            sim.every(5 * NS_PER_MS, s.tick, name="late",
+                      fast_forward=True, bulk=s.apply)
+        if ff:
+            sim.enable_fast_forward()
+        return sim, samplers
+
+    on, on_samplers = build(True)
+    off, off_samplers = build(False)
+    heap = on._queue
+    for sim in (on, off):
+        sim.run_until(200 * NS_PER_MS)
+    assert on.ff_windows > 0
+    assert on._queue is not heap
+    handles = [ev.ff for _, _, ev in on._queue if ev.ff]
+    _assert_handles_queued(on, handles)
     assert [s.state() for s in on_samplers] == \
         [s.state() for s in off_samplers]
     assert (on.now_ns, on._seq, on.pending_count()) == \

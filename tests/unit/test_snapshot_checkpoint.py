@@ -183,6 +183,52 @@ def test_summary_json_is_compact_and_matches_manifest_digest(saved):
     assert manifest["summary_sha256"] == digest_document(summary)
 
 
+def test_save_packs_each_stream_once_with_identical_summary_bytes(
+        tmp_path, monkeypatch):
+    # The summary digests the words the codec packed for the payload:
+    # a save packs no stream more often than the payload alone does,
+    # and its summary.json is byte for byte the summary computed by
+    # packing every stream afresh.
+    import repro.snapshot.codec as codec
+    import repro.snapshot.state as state
+
+    calls = []
+
+    def counting(stream):
+        calls.append(stream)
+        return pack_stream(stream)
+
+    monkeypatch.setattr(codec, "pack_stream", counting)
+    monkeypatch.setattr(state, "pack_stream", counting)
+    deployment = _small_deployment()
+    dumps_state(deployment)
+    payload_packs = len(calls)
+    assert payload_packs >= len(_rng_summary(deployment.rng))
+    del calls[:]
+    directory = save_shard(deployment, tmp_path / "shard-0000")
+    assert len(calls) == payload_packs
+    fresh = json.dumps(shard_summary(deployment), sort_keys=True,
+                       default=repr) + "\n"
+    assert (directory / "summary.json").read_text() == fresh
+
+
+def test_manifests_are_compact_and_indented_ones_still_load(saved,
+                                                            tmp_path):
+    directory, _, _ = saved
+    save_fleet_meta(tmp_path, SCENARIOS["smoke"], sim_time_ns=5, shards=1)
+    for path in (directory / "manifest.json", tmp_path / "fleet.json"):
+        text = path.read_text()
+        assert "\n" not in text.rstrip("\n")
+        assert text.endswith("\n")
+    copy = _copy_checkpoint(directory, tmp_path / "indented")
+    _rewrite_manifest(copy)  # indent=2, as format-2 saves wrote it
+    assert "\n  " in (copy / "manifest.json").read_text()
+    assert load_shard(copy).manifest == read_manifest(directory)
+    meta = load_fleet_meta(tmp_path)
+    (tmp_path / "fleet.json").write_text(json.dumps(meta, indent=2))
+    assert load_fleet_meta(tmp_path) == meta
+
+
 def test_legacy_summary_restores_through_audit(saved, tmp_path):
     directory, deployment, _ = saved
     copy = _copy_checkpoint(directory, tmp_path / "legacy")
