@@ -12,8 +12,10 @@ the event queue, their state is disjoint per handle, and each ships a
 ticks, including the order of float adds into the energy meter).
 
 The sensor applier jumps its LCG stream ahead with packed big-int
-arithmetic (:func:`_jump_table`), so a window costs a few C-level
-operations per 4,096 ticks instead of one Python step per tick; the
+arithmetic (:func:`_jump_table`, cut per jump length by
+:func:`_jump_slices`), so a window costs a few C-level operations per
+4,096 ticks instead of one Python step per tick (below
+``_STEP_MAX`` ticks it steps the LCG in a local loop); the
 energy meter still receives n individual float adds
 (:meth:`repro.hw.power.EnergyMeter.add_n`).
 
@@ -107,6 +109,32 @@ def _jump_table(n: int) -> tuple:
     return _jump
 
 
+#: Below this many ticks, :meth:`SensorSampler.apply` steps the LCG in
+#: a local loop: for one to three ticks that beats the big-int jump.
+_STEP_MAX = 4
+#: ``k -> (P_k, Q_k, H)`` for ``k ≤ _CUT_MAX``: the table cut to its
+#: last ``k`` slots, ready to multiply (``H`` needs no cut: masking
+#: with it keeps only the slots the product has).  Cutting shifts the
+#: whole table, so short jumps, which are most of them (the median
+#: sensor window on fleet-duty is 4 ticks), keep their cut; longer
+#: ones cut per call.  Like the table, a cut depends on ``k`` alone;
+#: the cache holds at most ~9 KB.
+_cuts: dict = {}
+_CUT_MAX = 32
+
+
+def _jump_slices(k: int) -> tuple:
+    """``(P_k, Q_k, H)`` for a jump of ``k`` (≤ ``_CHUNK``) ticks."""
+    cut = _cuts.get(k)
+    if cut is None:
+        length, p, q, h = _jump_table(k)
+        drop = _SLOT * (length - k)
+        cut = (p >> drop, q >> drop, h)
+        if k <= _CUT_MAX:
+            _cuts[k] = cut
+    return cut
+
+
 class SensorSampler:
     """One Thing's periodic sensor read.
 
@@ -144,15 +172,19 @@ class SensorSampler:
         self._meter.add_n("sensor", self._read_j, n)
         x = self._x
         total = 0
-        left = n
-        while left > 0:
-            k = min(left, _CHUNK)
-            length, p, q, h = _jump_table(k)
-            drop = _SLOT * (length - k)
-            z = (p >> drop) * x + (q >> drop)
-            x = z & LCG_MASK
-            total += ((z >> READ_SHIFT) & h) % _FOLD
-            left -= k
+        if n < _STEP_MAX:
+            for _ in range(n):
+                x = (x * LCG_MUL + LCG_INC) & LCG_MASK
+                total += x >> READ_SHIFT
+        else:
+            left = n
+            while left > 0:
+                k = min(left, _CHUNK)
+                p, q, h = _jump_slices(k)
+                z = p * x + q
+                x = z & LCG_MASK
+                total += ((z >> READ_SHIFT) & h) % _FOLD
+                left -= k
         self._x = x
         self.count += n
         self.total += total

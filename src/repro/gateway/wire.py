@@ -28,6 +28,10 @@ WS_OP_TEXT = 0x1
 WS_OP_CLOSE = 0x8
 WS_OP_PING = 0x9
 WS_OP_PONG = 0xA
+#: Continuation, text and binary; close, ping and pong.  The rest are
+#: reserved (RFC 6455 section 5.2).
+_WS_OPCODES = frozenset((0x0, WS_OP_TEXT, 0x2, WS_OP_CLOSE, WS_OP_PING,
+                         WS_OP_PONG))
 
 REASONS = {
     200: "OK",
@@ -201,12 +205,20 @@ def ws_encode_text(text: str) -> bytes:
 async def ws_read(reader) -> Tuple[int, bytes]:
     """Read one client frame; returns (opcode, unmasked payload).
 
-    Raises :class:`WireError` on protocol violations (client frames
-    must be masked, control frames must be short).  EOF surfaces as the
-    underlying ``IncompleteReadError``.
+    Raises :class:`WireError` on protocol violations: RSV bits set (no
+    extension is ever negotiated), a reserved opcode, a fragmented
+    (FIN clear) or long control frame (RFC 6455 sections 5.2 and 5.5),
+    or an unmasked client frame.  EOF surfaces as the underlying
+    ``IncompleteReadError``.
     """
     first, second = await reader.readexactly(2)
     opcode = first & 0x0F
+    if first & 0x70:
+        raise WireError("websocket frame sets reserved bits")
+    if opcode not in _WS_OPCODES:
+        raise WireError(f"reserved websocket opcode 0x{opcode:x}")
+    if opcode >= 0x8 and not first & 0x80:
+        raise WireError("fragmented control frame")
     masked = bool(second & 0x80)
     length = second & 0x7F
     if length == 126:

@@ -7,9 +7,60 @@ source (identification, interconnect traffic, radio, baseline draw).
 
 from __future__ import annotations
 
+import math
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterable
+
+#: :meth:`EnergyMeter.add_n` adds fewer contributions than this one by
+#: one; from here on :func:`repeat_add` is cheaper than the loop.
+_ADD_LOOP_MAX = 100
+_MIN_NORMAL = sys.float_info.min
+_MAX_FLOAT = sys.float_info.max
+
+
+def repeat_add(total: float, step: float, n: int) -> float:
+    """``total`` after ``n`` sequential ``total += step``, bit for bit,
+    for ``step >= 0``.
+
+    Within one binade of ``total`` (ulp ``u``, so ``total == a * u``
+    with ``2**52 <= a < 2**53``), each add rounds ``total + step`` to
+    the nearest multiple of ``u``.  Its increment is therefore ``step /
+    u`` rounded to an integer ``b``, the same for every add, unless
+    ``step / u`` ends in exactly one half (round-half-even then depends
+    on ``a``).  So a run of adds whose exact sums stay below the
+    binade's top ``2**53 * u`` is one multiply-add on integers.  Adds
+    that cross into the next binade, ties, and zero or subnormal
+    totals are made one at a time; a run costs O(1), and a call
+    crosses few binades.
+    """
+    num, den = step.as_integer_ratio()
+    while n > 0:
+        if not _MIN_NORMAL <= total <= _MAX_FLOAT:
+            total += step
+            n -= 1
+            continue
+        u = math.ulp(total)
+        a = int(total / u)
+        k = math.frexp(u)[1] - 1  # u == 2.0 ** k
+        # step / u == p / q, exactly.
+        if k >= 0:
+            p, q = num, den << k
+        else:
+            p, q = num << -k, den
+        # The i-th add of a run stays in the binade iff
+        # (a + i*b) * q + p < 2**53 * q, that is i * b * q < room.
+        room = (q << 53) - p - a * q
+        if room <= 0 or 2 * (p % q) == q:
+            total += step
+            n -= 1
+            continue
+        b = (2 * p + q) // (2 * q)
+        m = n if b == 0 else min(n, -(-room // (b * q)))
+        total = (a + m * b) * u
+        n -= m
+    return total
 
 
 @dataclass(frozen=True)
@@ -67,12 +118,12 @@ class EnergyMeter:
     def add_n(self, category: str, joules: float, n: int) -> None:
         """Accrue *n* identical contributions, bit-exactly.
 
-        The loop of individual float adds is deliberate: fast-forwarded
-        periodic accruals must leave the accumulator byte-identical to
-        n sequential :meth:`add` calls (a closed-form ``n * joules``
-        add rounds differently), because the fleet digest hashes these
-        sums.  A hoisted local loop is still ~50x cheaper than n kernel
-        dispatches.  ``n == 0`` is a no-op, as zero adds would be: it
+        Fast-forwarded periodic accruals must leave the accumulator
+        byte-identical to n sequential :meth:`add` calls (a closed-form
+        ``n * joules`` add rounds differently), because the fleet digest
+        hashes these sums.  Short runs loop over the float adds; longer
+        ones take :func:`repeat_add`, which makes the same adds a binade
+        at a time.  ``n == 0`` is a no-op, as zero adds would be: it
         does not create *category*.
         """
         if joules < 0:
@@ -82,8 +133,11 @@ class EnergyMeter:
         if not n:
             return
         total = self._by_category[category]
-        for _ in range(n):
-            total += joules
+        if n < _ADD_LOOP_MAX:
+            for _ in range(n):
+                total += joules
+        else:
+            total = repeat_add(total, joules, n)
         self._by_category[category] = total
 
     def add_draw(self, category: str, draw: PowerDraw, duration_s: float) -> None:
@@ -126,4 +180,4 @@ class EnergyMeter:
         return {k: merged[k] for k in sorted(merged)}
 
 
-__all__ = ["PowerDraw", "EnergyMeter"]
+__all__ = ["PowerDraw", "EnergyMeter", "repeat_add"]

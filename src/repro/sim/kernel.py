@@ -32,7 +32,9 @@ class _ScheduledEvent:
     previous ``@dataclass(order=True)`` on both allocation cost and the
     per-comparison ``__lt__`` dispatch the old heap paid on every
     push/pop.  A fast-forward window re-keys a certified event in place
-    (``time_ns``, ``seq`` and its heap tuple together).
+    (``time_ns``, ``seq`` and its heap tuple together).  Certified
+    events (``ff`` set) queue in the simulator's lane heap, every other
+    event in its main heap.
     """
 
     __slots__ = ("time_ns", "seq", "callback", "name", "cancelled",
@@ -122,9 +124,10 @@ class PeriodicHandle:
         self._ff = bool(fast_forward)
         self._independent = bool(independent)
         self._bulk = bulk
-        self._handle = sim.schedule(interval_ns, self._fire, name=name)
         if self._ff:
-            self._handle._event.ff = self
+            self._handle = sim._schedule_certified(self)
+        else:
+            self._handle = sim.schedule(interval_ns, self._fire, name=name)
 
     @property
     def cancelled(self) -> bool:
@@ -140,10 +143,11 @@ class PeriodicHandle:
         # Reschedule before the callback so a callback that raises does
         # not silently kill the period, and so the callback observes the
         # queue as it will stand for the rest of this instant.
-        self._handle = self._sim.schedule(
-            self._interval_ns, self._fire, name=self._name)
         if self._ff:
-            self._handle._event.ff = self
+            self._handle = self._sim._schedule_certified(self)
+        else:
+            self._handle = self._sim.schedule(
+                self._interval_ns, self._fire, name=self._name)
         self._callback()
 
     def cancel(self) -> None:
@@ -151,6 +155,9 @@ class PeriodicHandle:
         if self._cancelled:
             return
         self._cancelled = True
+        if self._ff:
+            # Its queued event is a lane entry: drop the cohort cache.
+            self._sim._ff_cache = None
         self._handle.cancel()
 
     def __setstate__(self, state: tuple) -> None:
@@ -180,11 +187,11 @@ class Simulator:
     #: attribute set changes shape.
     SNAPSHOT_SCHEMA = {
         "layer": "sim",
-        "version": 4,
-        "fields": ("_now_ns", "_seq", "_queue", "_tombstones", "_running",
-                   "_trace_hooks", "_bulk_hooks", "tracer", "profiler",
-                   "_ff_enabled", "_ff_skip_until", "ff_windows",
-                   "ff_events"),
+        "version": 5,
+        "fields": ("_now_ns", "_seq", "_queue", "_lane", "_tombstones",
+                   "_running", "_trace_hooks", "_bulk_hooks", "tracer",
+                   "profiler", "_ff_enabled", "_ff_skip_until",
+                   "ff_windows", "ff_events"),
     }
 
     def __init__(self) -> None:
@@ -193,9 +200,19 @@ class Simulator:
         #: Min-heap of ``(time_ns, seq, event)`` tuples; see
         #: :class:`_ScheduledEvent` for why keys are explicit.
         self._queue: list[tuple[int, int, _ScheduledEvent]] = []
-        #: Cancelled events still sitting in the heap.  Kept exact so
+        #: The certified lane: a second min-heap of the same tuples,
+        #: holding exactly the events of fast-forward-certified periodic
+        #: handles (``event.ff`` set), which never sit in ``_queue``.
+        #: Keys are unique across both heaps, so stepping pops the
+        #: smaller head and merged order is that of one heap.  None
+        #: only after restoring a schema-v4 checkpoint: its single heap
+        #: keeps the saved order (the restore audit digests it) until
+        #: the first run_until or certified push splits it
+        #: (:meth:`_split_lane`); stepping it unsplit is still exact.
+        self._lane: Optional[list] = []
+        #: Cancelled events still sitting in either heap.  Kept exact so
         #: :meth:`pending_count` is O(1) and so churn-heavy runs can
-        #: compact the heap once tombstones outnumber live events.
+        #: compact the heaps once tombstones outnumber live events.
         self._tombstones = 0
         self._running = False
         self._trace_hooks: list[Callable[[int, str], None]] = []
@@ -208,8 +225,15 @@ class Simulator:
         self._ff_enabled = False
         #: Suppression marker: no fast-forward window is attempted for
         #: heads before this instant (set after an empty/tiny window so
-        #: the O(queue) barrier scan is not repeated every event).
+        #: its O(lane) grouping is not repeated every event).
         self._ff_skip_until = 0
+        #: Cohort cache: ``(ranked cohort records, first ordered fire)``
+        #: as the last fused window left them, reused by the next window
+        #: while no lane entry has been pushed, popped or cancelled since
+        #: (a live lane pop fires a handle, which pushes first; a lane
+        #: tombstone exists only after a cancel).  Derived state: never
+        #: checkpointed.
+        self._ff_cache: Optional[tuple] = None
         #: Fast-forward statistics (windows applied / events skipped).
         self.ff_windows = 0
         self.ff_events = 0
@@ -274,6 +298,27 @@ class Simulator:
         self._seq += 1
         return EventHandle(event, self)
 
+    def _schedule_certified(self, handle: PeriodicHandle) -> EventHandle:
+        """Queue a certified handle's next firing, one interval from
+        now, in the lane.
+
+        The key is allocated exactly as :meth:`schedule` allocates it,
+        and attached observers see the event as they see any other.
+        """
+        lane = self._lane
+        if lane is None:
+            lane = self._split_lane()
+        time_ns = self._now_ns + handle._interval_ns
+        event = _ScheduledEvent(time_ns, self._seq, handle._fire,
+                                handle._name)
+        event.ff = handle
+        if self.tracer is not None or self.profiler is not None:
+            self._observe_schedule(event, handle._interval_ns)
+        heapq.heappush(lane, (time_ns, self._seq, event))
+        self._seq += 1
+        self._ff_cache = None
+        return EventHandle(event, self)
+
     def call_soon(self, callback: Callable[[], None], *, name: str = "") -> EventHandle:
         """Schedule *callback* at the current instant (after pending events
         already scheduled for this instant)."""
@@ -318,8 +363,16 @@ class Simulator:
     # ---------------------------------------------------------------- running
     def step(self) -> bool:
         """Run the single next event.  Returns False when the queue is empty."""
-        while self._queue:
-            time_ns, _, event = heapq.heappop(self._queue)
+        while True:
+            queue = self._queue
+            lane = self._lane
+            # Keys are unique across both heaps: the smaller head is the
+            # next event in merged order.
+            heap = lane if lane and (not queue or lane[0] < queue[0]) \
+                else queue
+            if not heap:
+                return False
+            time_ns, _, event = heapq.heappop(heap)
             event.popped = True
             if event.cancelled:
                 self._tombstones -= 1
@@ -329,7 +382,6 @@ class Simulator:
                 hook(time_ns, event.name)
             event.callback()
             return True
-        return False
 
     def run(self, *, max_events: Optional[int] = None) -> int:
         """Run until the event queue drains.  Returns events executed."""
@@ -367,34 +419,51 @@ class Simulator:
                     f"(now {self._now_ns} ns)"
                 )
             return 0
+        if self._lane is None:
+            self._split_lane()
         count = 0
         # Fast-forward, the kernel's one optional speed tier, engages
         # only for unbounded runs that no observer needs stepped one by
         # one: a max_events cap would have to split windows.
         ff_ok = (self._ff_enabled and max_events is None
                  and not self.needs_per_event)
-        # NOTE: ``self._queue`` must be re-read every iteration — any
+        # NOTE: both heaps must be re-read every iteration — any
         # callback can cancel events and trip ``_maybe_compact``, which
-        # rebinds the heap to a fresh list.
-        while self._queue:
+        # rebinds them, and a window rebuilds the lane.
+        while True:
             queue = self._queue
-            head_time, _, head = queue[0]
+            lane = self._lane
+            heap = lane if lane and (not queue or lane[0] < queue[0]) \
+                else queue
+            if not heap:
+                break
+            head_time, _, head = heap[0]
             if head.cancelled:
-                heapq.heappop(queue)
+                heapq.heappop(heap)
                 head.popped = True
                 self._tombstones -= 1
                 continue
             if head_time > time_ns:
                 break
-            if ff_ok and head_time >= self._ff_skip_until and \
-                    head.ff is not None:
+            if ff_ok and heap is lane and head_time >= self._ff_skip_until:
                 skipped = self._fast_forward_window(time_ns)
                 if skipped:
                     count += skipped
                     if until is not None and until():
                         return count
                     continue
-            self.step()
+                # Declined; its grouping may have rebuilt the lane.
+                self.step()
+            elif self.tracer is not None or self.profiler is not None:
+                self.step()  # the observed step (see _reshadow)
+            else:
+                # :meth:`step`, with the head this loop already chose.
+                heapq.heappop(heap)
+                head.popped = True
+                self._now_ns = head_time
+                for hook in self._trace_hooks:
+                    hook(head_time, head.name)
+                head.callback()
             count += 1
             if max_events is not None and count >= max_events:
                 return count
@@ -406,8 +475,8 @@ class Simulator:
     def _fast_forward_window(self, target_ns: int) -> int:
         """Apply one certified idle window analytically; 0 = declined.
 
-        The window runs from the queue head to one nanosecond before
-        the earliest live *non-certified* event (the barrier: in-flight
+        The window runs from the lane head to one nanosecond before
+        the main heap's earliest live event (the barrier: in-flight
         packets, chaos faults, protocol timers — anything not owned by
         a fast-forward-certified periodic handle), clamped to the
         run_until target so checkpoints taken at instants re-derive
@@ -420,49 +489,42 @@ class Simulator:
         matching ``PeriodicHandle._fire``), so the re-keyed queued
         event of every handle carries the identical (time, seq) key it
         would have had under stepping.  Windows in which no ordered
-        handle fires take one fused pass: the heap scan groups the
-        certified items into cohorts (keeping each item's heap index),
-        :meth:`_ff_cohorts` plans each due cohort's seqs in closed
-        form, and a single loop per cohort applies every member's
-        rounds, re-keys its event in place and reports it.  Bulk trace
-        hooks are called once per event name, with the name's summed
-        count stamped at its last occurrence.  The other windows
-        (:meth:`_ff_emulate`) emulate seq allocation occurrence by
-        occurrence in merged order.
+        handle fires take one fused pass over cohorts: the lane's
+        entries grouped by (interval, first fire) and ranked by seq
+        (:meth:`_ff_group`, :meth:`_ff_rank`), or the cohort cache the
+        previous fused window left when nothing touched the lane since;
+        :meth:`_ff_plan` gives each due cohort's seqs in closed form,
+        and one loop per cohort applies every member's rounds and
+        re-keys its event in place.  Bulk trace hooks are called once
+        per event name, with the name's summed count stamped at its
+        last occurrence.  The other windows (:meth:`_ff_emulate`)
+        emulate seq allocation occurrence by occurrence in merged
+        order.
         """
         queue = self._queue
-        barrier_t: Optional[int] = None
-        first_ordered: Optional[int] = None
-        # (interval, first fire) -> [(first fire, seq, event, handle,
-        # heap index)]: the certified items, grouped as they are found.
-        cohorts: dict = {}
-        for pos, (t, s, ev) in enumerate(queue):
-            if ev.cancelled:
-                continue
-            h = ev.ff
-            if h is None:
-                if barrier_t is None or t < barrier_t:
-                    barrier_t = t
-                continue
-            members = cohorts.get((h._interval_ns, t))
-            if members is None:
-                cohorts[(h._interval_ns, t)] = [(t, s, ev, h, pos)]
-            else:
-                members.append((t, s, ev, h, pos))
-            if not h._independent and (first_ordered is None
-                                       or t < first_ordered):
-                first_ordered = t
-        window_end = target_ns if barrier_t is None \
-            else min(target_ns, barrier_t - 1)
-        due: dict = {}
+        # Tombstones above the barrier are popped here, as stepping
+        # would pop them before it.
+        while queue and queue[0][2].cancelled:
+            heapq.heappop(queue)[2].popped = True
+            self._tombstones -= 1
+        if queue:
+            barrier_t = queue[0][0]
+            window_end = min(target_ns, barrier_t - 1)
+        else:
+            barrier_t = None
+            window_end = target_ns
+        cached = self._ff_cache
+        if cached is None:
+            records, first_ordered = self._ff_group()
+        else:
+            records, first_ordered = cached
         total = 0
-        for key, members in cohorts.items():
-            interval, t0 = key
+        for rec in records:
+            t0 = rec[2]
             if t0 <= window_end:
-                due[key] = members
-                total += ((window_end - t0) // interval + 1) * len(members)
+                total += ((window_end - t0) // rec[1] + 1) * len(rec[3])
         if total < 4:
-            # Not worth the scan; suppress re-attempts until the head
+            # Not worth the work; suppress re-attempts until the head
             # moves past the barrier (stepping remains exact, so a
             # missed window is only a missed optimization).
             limit = barrier_t if barrier_t is not None else target_ns
@@ -474,38 +536,39 @@ class Simulator:
         # handles is unobservable and only seq *accounting* has to be
         # exact, which the cohort plan gets in closed form.
         if first_ordered is not None and first_ordered <= window_end:
-            plan = None
-        else:
-            plan = self._ff_cohorts(due, window_end, self._seq)
-        if plan is None:
-            return self._ff_emulate(
-                [item for members in cohorts.values() for item in members],
-                window_end)
-        seq, planned = plan
+            return self._ff_emulate(window_end)
+        if cached is None and not self._ff_rank(records):
+            return self._ff_emulate(window_end)
+        seq, planned = self._ff_plan(records, window_end, self._seq)
         self._seq = seq
         bulks = self._bulk_hooks
         if bulks:
             # name -> [occurrences, last occurrence]
             named: dict = {}
-            for members, _, rounds, last, _ in planned:
-                for item in members:
-                    acc = named.get(item[2].name)
+            for rec, rounds, last, _ in planned:
+                for name, members in rec[4]:
+                    acc = named.get(name)
                     if acc is None:
-                        named[item[2].name] = [rounds, last]
+                        named[name] = [rounds * members, last]
                     else:
-                        acc[0] += rounds
+                        acc[0] += rounds * members
                         if last > acc[1]:
                             acc[1] = last
             for name, (n, last) in named.items():
                 for b in bulks:
                     b(last, name, n)
+        # Any lane push or cancel by an applier drops this marker.
+        cache = (records, first_ordered)
+        self._ff_cache = cache
         profiler = self.profiler
         now = self._now_ns
-        for members, interval, rounds, last, base in planned:
+        for rec, rounds, last, base in planned:
             if last > now:
                 now = last
-            ft = last + interval
-            for t0, _, ev, h, pos in members:
+            t0 = rec[2]
+            ft = last + rec[1]
+            entries = []
+            for _, _, ev, h in rec[3]:
                 bulk_cb = h._bulk
                 if bulk_cb is not None:
                     bulk_cb(rounds)
@@ -524,38 +587,117 @@ class Simulator:
                 # is left behind.
                 ev.time_ns = ft
                 ev.seq = base
-                queue[pos] = (ft, base, ev)
+                entries.append((ft, base, ev))
                 base += 1
                 if profiler is not None:
                     profiler.on_fast_forward(ev.name, rounds, t0, last)
+            rec[0] = entries[0][1]
+            rec[2] = ft
+            rec[5] = entries
         self._now_ns = now
-        if self._queue is not queue:
-            # An applier cancelled work and tripped _maybe_compact,
-            # which rebound the heap mid-loop: take every key afresh
+        if self._ff_cache is cache:
+            # The records hold every live lane entry (grouping purged
+            # the tombstones): rebuild the lane from them, and keep them
+            # ranked for the next window.
+            records.sort()
+            lane = []
+            for rec in records:
+                lane += rec[5]
+            heapq.heapify(lane)
+            self._lane = lane
+        else:
+            # An applier cancelled a certified handle (and perhaps
+            # compacted, rebinding the lane): take every key afresh
             # from its event.
-            queue = self._queue
-            queue[:] = [(ev.time_ns, ev.seq, ev) for _, _, ev in queue]
-        # Keys only grew; one heapify restores the heap invariant.
-        heapq.heapify(queue)
+            lane = self._lane
+            lane[:] = [(ev.time_ns, ev.seq, ev) for _, _, ev in lane]
+            heapq.heapify(lane)
         self.ff_windows += 1
         self.ff_events += total
         return total
 
-    @staticmethod
-    def _ff_cohorts(cohorts: dict, window_end: int, seq: int):
-        """Closed-form seq plan for a window's cohorts; None = not
-        applicable.
+    def _ff_group(self) -> tuple:
+        """``(cohort records, earliest ordered fire or None)`` from one
+        pass over the lane.
 
-        *cohorts* maps ``(interval, first fire)`` to the window items
-        sharing it (``item[1]`` is the item's queued seq; multi-member
-        lists are sorted by seq in place).  Such a *cohort* fires at
-        identical timestamps forever, in a fixed relative order.  When
-        every cohort's current seq set forms a contiguous-block range
-        disjoint from every other cohort's, merged order at any shared
-        timestamp is whole blocks ordered by block base, and each round
-        hands the firing cohorts fresh consecutive blocks, so the
-        layout holds for the whole window.  Seq accounting then needs
-        no emulation at all:
+        A record is ``[lo, interval, first fire, members, names,
+        entries]`` with members ``(time, seq, event, handle)`` sharing
+        the interval and first fire; :meth:`_ff_rank` fills the rest.
+        Tombstones are purged from the lane on the way (as compaction
+        would), so the records hold every live lane entry.
+        """
+        lane = self._lane
+        cohorts: dict = {}
+        first_ordered: Optional[int] = None
+        dead = 0
+        for t, s, ev in lane:
+            if ev.cancelled:
+                dead += 1
+                continue
+            h = ev.ff
+            rec = cohorts.get((h._interval_ns, t))
+            if rec is None:
+                cohorts[(h._interval_ns, t)] = \
+                    [0, h._interval_ns, t, [(t, s, ev, h)], None, None]
+            else:
+                rec[3].append((t, s, ev, h))
+            if not h._independent and (first_ordered is None
+                                       or t < first_ordered):
+                first_ordered = t
+        if dead:
+            for _, _, ev in lane:
+                if ev.cancelled:
+                    ev.popped = True
+            self._lane = _live(lane)
+            self._tombstones -= dead
+        return list(cohorts.values()), first_ordered
+
+    @staticmethod
+    def _ff_rank(records: list) -> bool:
+        """Rank cohort records for :meth:`_ff_plan`; False = declined.
+
+        Sorts each record's members by seq and the records by their
+        lowest seq ``lo``, and fills ``lo``, ``names`` (``(event name,
+        member count)`` pairs in member order) and ``entries`` (the
+        members' heap tuples).  Declines when two cohorts' seq ranges
+        interleave: the plan does not apply.  Such ranges are typical
+        right after registration, before a first window linearizes
+        them; the per-occurrence path runs for that window, and the
+        ranges are blocks after it.
+        """
+        for rec in records:
+            members = rec[3]
+            if len(members) > 1:
+                members.sort()
+            rec[0] = members[0][1]
+            names: dict = {}
+            for item in members:
+                name = item[2].name
+                names[name] = names.get(name, 0) + 1
+            rec[4] = list(names.items())
+            rec[5] = [item[:3] for item in members]
+        # Sorted by pre-window seq, so list position breaks first-round
+        # ties in the plan.
+        records.sort()
+        prev_hi = -1
+        for rec in records:
+            if rec[0] <= prev_hi:
+                return False
+            prev_hi = rec[3][-1][1]
+        return True
+
+    @staticmethod
+    def _ff_plan(records: list, window_end: int, seq: int):
+        """Closed-form seq plan for the due cohorts of ranked records.
+
+        A *cohort* — certified items sharing interval and first fire —
+        fires at identical timestamps forever, in a fixed relative
+        order.  When every cohort's seq set forms a range disjoint
+        from every other's (:meth:`_ff_rank`), merged order at any
+        shared timestamp is whole blocks ordered by block base, and
+        each round hands the firing cohorts fresh consecutive blocks,
+        so the layout holds for the whole window.  Seq accounting then
+        needs no emulation at all:
 
         * cohort k (interval I, first fire t0, n members) fires
           ``R = (window_end - t0) // I + 1`` rounds, the last at
@@ -570,43 +712,31 @@ class Simulator:
           the larger interval pops first (its previous round, and so
           its block base, is earlier); equal intervals with different
           phase are ordered by the later first fire, which led at its
-          first round and keeps the lead.
+          first round and keeps the lead; two cohorts with the same
+          interval and first fire (kept apart by the cohort cache) go
+          by rank.
 
-        Returns ``(end seq, [(members, interval, R, L, base), ...])``,
-        cohorts in pre-window seq order; member m of a cohort is
-        re-keyed to ``(L + I, base + m)``.  That is O(cohorts**2) floor
-        divisions per window, and the end seq and every key match the
-        per-occurrence path bit for bit.
-
-        Interleaved ranges (typical right after registration, before a
-        first window linearizes them) return None and the exact
-        per-occurrence path runs; the window after that, ranges are
-        blocks and this path engages.
+        Returns ``(end seq, [(record, R, L, base), ...])``, cohorts in
+        rank order; member m of a cohort is re-keyed to ``(L + I, base
+        + m)``.  That is O(cohorts**2) floor divisions per window, and
+        the end seq and every key match the per-occurrence path bit
+        for bit.
         """
-        ranked = []
-        for (interval, t0), members in cohorts.items():
-            if len(members) > 1:
-                members.sort()
-            rounds = (window_end - t0) // interval + 1
-            ranked.append((members[0][1], members[-1][1], interval, t0,
-                           t0 + (rounds - 1) * interval, rounds, members))
-        if len(ranked) > 1:
-            # Sorted by pre-window seq, so list position breaks
-            # first-round ties.
-            ranked.sort()
-            prev_hi = -1
-            for cohort in ranked:
-                if cohort[0] <= prev_hi:
-                    return None
-                prev_hi = cohort[1]
+        due = []
+        for rec in records:
+            t0 = rec[2]
+            if t0 <= window_end:
+                interval = rec[1]
+                rounds = (window_end - t0) // interval + 1
+                due.append((rec, interval, t0, t0 + (rounds - 1) * interval,
+                            rounds, len(rec[3])))
         end_seq = seq
         planned = []
-        for k, (_, _, interval, t0, last, rounds, members) in \
-                enumerate(ranked):
-            end_seq += rounds * len(members)
-            base = seq + (rounds - 1) * len(members)
+        for k, (rec, interval, t0, last, rounds, n) in enumerate(due):
+            end_seq += rounds * n
+            base = seq + (rounds - 1) * n
             k_first = t0 == last
-            for j, (_, _, ij, tj, _, _, jmembers) in enumerate(ranked):
+            for j, (_, ij, tj, _, _, nj) in enumerate(due):
                 if j == k or tj > last:
                     continue
                 before = (last - tj) // ij
@@ -617,16 +747,16 @@ class Simulator:
                     if j_first or k_first:
                         leads = j_first and (not k_first or j < k)
                     else:
-                        leads = ij > interval or (
-                            ij == interval and tj > t0)
+                        leads = ij > interval or (ij == interval and (
+                            tj > t0 or (tj == t0 and j < k)))
                     before += leads
                 else:
                     before += 1
-                base += before * len(jmembers)
-            planned.append((members, interval, rounds, last, base))
+                base += before * nj
+            planned.append((rec, rounds, last, base))
         return end_seq, planned
 
-    def _ff_emulate(self, items: list, window_end: int) -> int:
+    def _ff_emulate(self, window_end: int) -> int:
         """The per-occurrence window path: ordered handles, or cohort
         seq ranges that interleave.
 
@@ -636,8 +766,10 @@ class Simulator:
         fire in place after a flush, observing exactly the state they
         would have seen.
         """
-        queue = self._queue
-        items.sort()  # by (first time, seq): seqs are unique
+        self._ff_cache = None
+        # By (first time, seq): seqs are unique.
+        items = sorted((t, s, ev, ev.ff) for t, s, ev in self._lane
+                       if not ev.cancelled)
         n_items = len(items)
         pending = [0] * n_items
         counts = [0] * n_items
@@ -677,7 +809,7 @@ class Simulator:
                         f"new work; certified callbacks must not touch "
                         f"the event queue")
 
-        emu = [(t, s, i) for i, (t, s, ev, h, _) in enumerate(items)
+        emu = [(t, s, i) for i, (t, s, _, _) in enumerate(items)
                if t <= window_end]
         heapq.heapify(emu)
         while emu:
@@ -718,17 +850,11 @@ class Simulator:
         self._seq = seq
 
         profiler = self.profiler
-        heap_pos = None
-        if self._queue is not queue:
-            # An ordered callback cancelled work and tripped
-            # _maybe_compact, which rebound the heap: entries moved.
-            queue = self._queue
-            heap_pos = {s: pos for pos, (_, s, _) in enumerate(queue)}
         for i in range(n_items):
             c = counts[i]
             if not c:
                 continue
-            t0, s0, ev, h, pos = items[i]
+            _, _, ev, h = items[i]
             if last_t[i] > self._now_ns:
                 self._now_ns = last_t[i]
             if profiler is not None:
@@ -739,11 +865,13 @@ class Simulator:
                 continue
             # Re-keyed in place with the emulated key, as in the fused
             # pass.
-            ft, fs = final[i]
-            ev.time_ns = ft
-            ev.seq = fs
-            queue[pos if heap_pos is None else heap_pos[s0]] = (ft, fs, ev)
-        heapq.heapify(queue)
+            ev.time_ns, ev.seq = final[i]
+        # Keys only grew.  An ordered callback's cancel may have
+        # compacted the heaps, rebinding the lane: take every key afresh
+        # from its event, then one heapify restores the heap invariant.
+        lane = self._lane
+        lane[:] = [(ev.time_ns, ev.seq, ev) for _, _, ev in lane]
+        heapq.heapify(lane)
         self.ff_windows += 1
         self.ff_events += applied
         return applied
@@ -832,15 +960,21 @@ class Simulator:
                 f"cannot schedule in the past: {time_ns} < {self._now_ns}"
             )
         event = _ScheduledEvent(time_ns, self._seq, callback, name)
+        self._observe_schedule(event, time_ns - self._now_ns)
+        heapq.heappush(self._queue, (time_ns, self._seq, event))
+        self._seq += 1
+        return EventHandle(event, self)
+
+    def _observe_schedule(self, event: _ScheduledEvent,
+                          delay_ns: int) -> None:
+        """Stamp the tracer's current trace id on *event* and report
+        its delay to the profiler (both heaps' pushes)."""
         tracer = self.tracer
         if tracer is not None and tracer.current is not None:
             event.trace_id = tracer.current
         profiler = self.profiler
-        if profiler is not None and name:
-            profiler.on_schedule(name, time_ns - self._now_ns)
-        heapq.heappush(self._queue, (time_ns, self._seq, event))
-        self._seq += 1
-        return EventHandle(event, self)
+        if profiler is not None and event.name:
+            profiler.on_schedule(event.name, delay_ns)
 
     def _observed_step(self) -> bool:
         """:meth:`step`, plus causal-context restore around callbacks and
@@ -851,8 +985,14 @@ class Simulator:
         host cost (``perf_counter_ns`` around the callback) and the
         simulated-time gap it closed are reported keyed by event name.
         """
-        while self._queue:
-            time_ns, _, event = heapq.heappop(self._queue)
+        while True:
+            queue = self._queue
+            lane = self._lane
+            heap = lane if lane and (not queue or lane[0] < queue[0]) \
+                else queue
+            if not heap:
+                return False
+            time_ns, _, event = heapq.heappop(heap)
             event.popped = True
             if event.cancelled:
                 self._tombstones -= 1
@@ -881,11 +1021,10 @@ class Simulator:
                     event.name, prev_ns, time_ns, perf_counter_ns() - started
                 )
             return True
-        return False
 
     # ------------------------------------------------------------ checkpoint
     def snapshot_state(self) -> dict:
-        """Complete restorable kernel state (the heap travels as-is:
+        """Complete restorable kernel state (both heaps travel as-is:
         ``(time_ns, seq, event)`` tuples keep their ordering keys, and
         tombstoned events keep their ``cancelled`` flags)."""
         state = dict(self.__dict__)
@@ -894,6 +1033,7 @@ class Simulator:
         # checkpoint never carries method objects.
         state.pop("schedule_at", None)
         state.pop("step", None)
+        state.pop("_ff_cache", None)
         state["_schema"] = self.SNAPSHOT_SCHEMA["version"]
         return state
 
@@ -904,6 +1044,7 @@ class Simulator:
         state.pop("_schema", None)
         self.__dict__.clear()
         self.__dict__.update(state)
+        self._ff_cache = None
         # Re-shadow the observed paths exactly as the attach_* calls do.
         self._reshadow()
 
@@ -940,17 +1081,19 @@ class Simulator:
 
     def pending_count(self) -> int:
         """Number of not-yet-cancelled events still queued.  O(1)."""
-        return len(self._queue) - self._tombstones
+        return len(self._queue) + len(self._lane or ()) - self._tombstones
 
     def drain(self, names: Iterable[str] = ()) -> None:
         """Cancel every queued event (optionally only those matching *names*)."""
         names = set(names)
-        for _, _, event in self._queue:
-            if event.cancelled:
-                continue
-            if not names or event.name in names:
-                event.cancelled = True
-                self._tombstones += 1
+        self._ff_cache = None
+        for heap in (self._queue, self._lane or ()):
+            for _, _, event in heap:
+                if event.cancelled:
+                    continue
+                if not names or event.name in names:
+                    event.cancelled = True
+                    self._tombstones += 1
         self._maybe_compact()
 
     # ------------------------------------------------------------ tombstones
@@ -960,22 +1103,49 @@ class Simulator:
         self._maybe_compact()
 
     def _maybe_compact(self) -> None:
-        """Rebuild the heap once cancelled entries outnumber live ones.
+        """Rebuild the heaps once cancelled entries outnumber live ones.
 
         Long churn-heavy runs (fleet scenarios cancelling timers and
         stream ticks) would otherwise accumulate tombstones forever,
         growing memory and slowing every ``heappush``.  Amortised O(1)
-        per cancellation.
+        per cancellation.  The threshold counts both heaps together,
+        as when they were one.
         """
-        if self._tombstones * 2 <= len(self._queue):
+        queue = self._queue
+        lane = self._lane or []
+        if self._tombstones * 2 <= len(queue) + len(lane):
             return
-        live = [entry for entry in self._queue if not entry[2].cancelled]
-        for _, _, event in self._queue:
-            if event.cancelled:
-                event.popped = True
-        self._queue = live
-        heapq.heapify(self._queue)
+        for heap in (queue, lane):
+            for _, _, event in heap:
+                if event.cancelled:
+                    event.popped = True
+        self._queue = _live(queue)
+        if lane:
+            self._lane = _live(lane)
         self._tombstones = 0
+
+    def _split_lane(self) -> list:
+        """Move the certified entries of a restored schema-v4 single
+        heap into the lane; returns the lane.
+
+        Keys are unchanged, so merged order is too.  Events pickled
+        before the fast-forward tier carry no ``ff`` slot at all.
+        """
+        entries = self._queue
+        self._queue = [e for e in entries
+                       if getattr(e[2], "ff", None) is None]
+        self._lane = [e for e in entries
+                      if getattr(e[2], "ff", None) is not None]
+        heapq.heapify(self._queue)
+        heapq.heapify(self._lane)
+        return self._lane
+
+
+def _live(heap: list) -> list:
+    """A new heap of *heap*'s entries without its tombstones."""
+    out = [entry for entry in heap if not entry[2].cancelled]
+    heapq.heapify(out)
+    return out
 
 
 def ns_from_us(us: float) -> int:

@@ -20,9 +20,10 @@ T, restore, run to T+Δ, and require merged metrics and telemetry to be
 byte-identical to an uninterrupted run — at worker counts 1 and 2 —
 plus cross-version restore (shards whose payloads use the codec-v1
 envelope, and shards whose summaries carry the ``repr`` RNG digests
-saved before the digest-scheme marker, restore, pass the audit and run
-on to the same digest), migration acceptance (v1 manifest) and
-rejection (future format).
+saved before the digest-scheme marker, and shards saved at Simulator
+schema v4 with one event heap, restore, pass the audit and run on to
+the same digest), migration acceptance (v1 manifest) and rejection
+(future format).
 """
 
 from __future__ import annotations
@@ -185,8 +186,10 @@ def _cmd_smoke(args) -> int:
     from repro.fleet.scenario import SCENARIOS
     from repro.snapshot.checkpoint import (
         CheckpointError,
+        _save_shard_sim_v4,
         digest_document,
         fleet_checkpoint_dirs,
+        load_shard,
         read_manifest,
         read_summary,
     )
@@ -288,6 +291,31 @@ def _cmd_smoke(args) -> int:
                 failures.append(
                     f"repr-digest checkpoint diverges: {digest[:16]} != "
                     f"{uninterrupted[1][:16]}")
+
+        # Simulator schema v4: shards saved with one event heap (before
+        # the certified lane) restore, pass the audit against the
+        # single-heap summary they were saved with, and run on to the
+        # same digest.
+        legacy = root / "ckpt-sim-v4"
+        shutil.copytree(ckpt, legacy)
+        for shard_dir in fleet_checkpoint_dirs(legacy):
+            restored = load_shard(shard_dir)
+            _save_shard_sim_v4(restored.deployment, shard_dir,
+                               label=restored.manifest.get("label", ""))
+        versions = {read_manifest(shard_dir)["layer_schemas"]["sim"]
+                    ["Simulator"]["version"]
+                    for shard_dir in fleet_checkpoint_dirs(legacy)}
+        try:
+            digest = digest_document(resume_scenario(legacy).merged)
+        except CheckpointError as exc:
+            failures.append(f"sim-v4 checkpoint did not restore: {exc}")
+        else:
+            if versions == {4} and digest == uninterrupted[1]:
+                print(f"sim-v4 single-heap restore: ok ({digest[:16]})")
+            else:
+                failures.append(
+                    f"sim-v4 checkpoint (versions {sorted(versions)}) "
+                    f"diverges: {digest[:16]} != {uninterrupted[1][:16]}")
 
         # Migration acceptance: a v1 manifest must load via the hook.
         shard0 = fleet_checkpoint_dirs(ckpt)[0]

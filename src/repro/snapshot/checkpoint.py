@@ -30,6 +30,7 @@ were digested from their packed words; its restore is audited with the
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import sys
 from dataclasses import asdict, dataclass
@@ -143,6 +144,39 @@ def save_shard(
     (directory / _SUMMARY).write_text(summary_json + "\n")
     _dump_json(directory / _MANIFEST, manifest)
     return directory
+
+
+def _save_shard_sim_v4(deployment, directory, *, label: str = "") -> Path:
+    """:func:`save_shard` as a tree whose Simulator was at schema v4
+    wrote it: one heap holding every event, no lane.
+
+    For the compatibility smoke and tests.  Leaves the deployment's
+    simulator in the unsplit shape a v4 restore produces (its next
+    run splits the heap again).
+    """
+    from repro.sim.kernel import Simulator
+
+    sim = deployment.sim
+    if sim._lane is not None:
+        heap = sim._queue + sim._lane
+        heapq.heapify(heap)
+        sim._queue, sim._lane = heap, None
+    schema, getstate = Simulator.SNAPSHOT_SCHEMA, Simulator.__getstate__
+
+    def v4_state(self) -> dict:
+        state = getstate(self)
+        del state["_lane"]
+        return state
+
+    Simulator.SNAPSHOT_SCHEMA = dict(
+        schema, version=4,
+        fields=tuple(f for f in schema["fields"] if f != "_lane"))
+    Simulator.__getstate__ = v4_state
+    try:
+        return save_shard(deployment, directory, label=label)
+    finally:
+        Simulator.SNAPSHOT_SCHEMA = schema
+        Simulator.__getstate__ = getstate
 
 
 @dataclass

@@ -15,7 +15,7 @@ Two migration planes, mirroring Simics' checkpoint machinery:
   implementation routes its incoming state through
   :func:`upgrade_state`, so an old checkpoint whose ``sim`` layer was
   written at schema v1 can still restore into a tree whose Simulator
-  is at v4 — provided the 1→2, 2→3 and 3→4 hooks exist.
+  is at v5 — provided the 1→2, 2→3, 3→4 and 4→5 hooks exist.
 
 The built-in v1→v2 manifest migration documents the pattern: format v1
 manifests spelled the checkpoint instant ``time_ns``; v2 renamed it to
@@ -173,6 +173,17 @@ def _simulator_v2_to_v3(state: dict) -> dict:
 def _simulator_v3_to_v4(state: dict) -> dict:
     """Sim schema v4 removed batched dispatch and its name registry."""
     state.pop("_batch_names", None)
+    return state
+
+
+@register_state_migration("repro.sim.kernel.Simulator", 4)
+def _simulator_v4_to_v5(state: dict) -> dict:
+    """Sim schema v5 queues fast-forward-certified events in a heap of
+    their own, the lane.  A v4 state's single heap stays as saved, so
+    the restore audit digests it in its saved order; ``_lane`` None
+    marks it unsplit, and the first ``run_until`` (or certified push)
+    moves its certified entries into the lane."""
+    state.setdefault("_lane", None)
     return state
 
 

@@ -118,9 +118,13 @@ _EVENT_DETAIL_LIMIT = 4096
 
 
 def _sim_summary(sim) -> dict:
+    # The main heap, then the certified lane, each in raw order.  A
+    # restored schema-v4 heap (lane None until the first run) lists in
+    # the order it was saved, so its saved summary still audits.
     events = [
         [time_ns, seq, event.name, bool(event.cancelled)]
-        for time_ns, seq, event in sim._queue
+        for heap in (sim._queue, sim._lane or ())
+        for time_ns, seq, event in heap
     ]
     by_name: Dict[str, int] = {}
     for _, _, name, cancelled in events:

@@ -217,6 +217,51 @@ async def test_websocket_stream_delivers_fleet_events(gateway_server):
     await server.close()
 
 
+def _masked_frame(first: int, payload: bytes) -> bytes:
+    mask = b"\x37\xfa\x21\x3d"
+    body = bytes(b ^ mask[i % 4] for i, b in enumerate(payload))
+    return bytes([first, 0x80 | len(payload)]) + mask + body
+
+
+@pytest.mark.asyncio
+async def test_fragmented_ping_closes_the_stream(gateway_server):
+    # A ping is answered; the same ping with FIN clear breaks RFC 6455
+    # section 5.5, so the server drops the /stream connection instead.
+    server = await gateway_server(warmup_ns=0)
+    reader, writer = await asyncio.open_connection(server.host, server.port)
+    key = base64.b64encode(b"fedcba9876543210").decode()
+    writer.write(
+        (f"GET /stream HTTP/1.1\r\nHost: {server.host}\r\n"
+         "Upgrade: websocket\r\nConnection: Upgrade\r\n"
+         f"Sec-WebSocket-Key: {key}\r\n"
+         "Sec-WebSocket-Version: 13\r\n\r\n").encode())
+    await writer.drain()
+    head = await reader.readuntil(b"\r\n\r\n")
+    assert b"101 Switching Protocols" in head
+
+    async def frames_until_eof():
+        data = await asyncio.wait_for(reader.read(), timeout=10.0)
+        frames = []
+        while data:
+            length, size = data[1] & 0x7F, 2
+            if length == 126:
+                length, size = int.from_bytes(data[2:4], "big"), 4
+            frames.append((data[0], data[size:size + length]))
+            data = data[size + length:]
+        return frames
+
+    writer.write(_masked_frame(0x89, b"ok"))
+    writer.write(_masked_frame(0x09, b"no"))
+    await writer.drain()
+    # The stream may interleave event frames; the connection closes
+    # after the one pong, without answering the fragmented ping.
+    frames = await frames_until_eof()
+    assert [payload for first, payload in frames
+            if first == 0x8A] == [b"ok"]
+    writer.close()
+    await server.close()
+
+
 @pytest.mark.asyncio
 async def test_recorded_request_log_replays_to_identical_digest(
         gateway_scenario):

@@ -13,7 +13,7 @@ import heapq
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.obs.tracer import install_tracer
 from repro.profile.collector import ShardProfiler
@@ -220,8 +220,7 @@ def test_cohort_and_exact_paths_agree(monkeypatch):
             sim.enable_fast_forward()
         if mode == "exact":
             monkeypatch.setattr(
-                Simulator, "_ff_cohorts",
-                lambda self, *args, **kwargs: None)
+                Simulator, "_ff_rank", lambda *args: False)
         sim.run_until(1_000 * NS_PER_MS)
         monkeypatch.undo()
         return ((sim.now_ns, sim._seq, sim.pending_count(),
@@ -261,7 +260,7 @@ def test_ordered_handle_due_after_the_window_keeps_the_cohort_path():
         if ff:
             sim.enable_fast_forward()
             window = Simulator._fast_forward_window.__get__(sim)
-            cohorts = Simulator._ff_cohorts
+            plan = Simulator._ff_plan
 
             def spy_window(target_ns):
                 before = len(observations)
@@ -273,12 +272,12 @@ def test_ordered_handle_due_after_the_window_keeps_the_cohort_path():
                     windows.pop()  # declined: nothing was planned
                 return applied
 
-            def spy_cohorts(*args):
-                windows[-1][1] = cohorts(*args)
+            def spy_plan(*args):
+                windows[-1][1] = plan(*args)
                 return windows[-1][1]
 
             sim._fast_forward_window = spy_window
-            sim._ff_cohorts = spy_cohorts
+            sim._ff_plan = spy_plan
         sim.run_until(10_000 * NS_PER_MS)
         state = (sim.now_ns, sim._seq, sim.pending_count(),
                  [s.state() for s in samplers], observations, chain,
@@ -293,10 +292,24 @@ def test_ordered_handle_due_after_the_window_keeps_the_cohort_path():
     assert all(plan is not None for plan in quiet)
 
 
+def closed_form_cohorts(cohorts, window_end, seq):
+    """The kernel's closed-form plan (:meth:`Simulator._ff_rank`, then
+    :meth:`Simulator._ff_plan`) for a window's ``(interval, first
+    fire) -> items`` dict, in the shape :func:`heap_cohorts` returns;
+    None when the ranking declines."""
+    records = [[0, interval, t0, members, None, None]
+               for (interval, t0), members in cohorts.items()]
+    if not Simulator._ff_rank(records):
+        return None
+    end_seq, planned = Simulator._ff_plan(records, window_end, seq)
+    return end_seq, [(rec[3], rec[1], rounds, last, base)
+                     for rec, rounds, last, base in planned]
+
+
 def heap_cohorts(cohorts, window_end, seq):
     """Reference cohort plan: one heap transaction per cohort round,
     keyed (time, block base) exactly as merged stepping orders the
-    rounds.  The oracle for :meth:`Simulator._ff_cohorts`, which
+    rounds.  The oracle for :func:`closed_form_cohorts`, which
     computes the same plan in closed form."""
     metas = []
     ranges = []
@@ -365,7 +378,7 @@ def _both_cohort_paths(items, window_end, seq):
     """``(end seq or None, [counts, first fire, last fire, final key]
     per item)`` from the closed-form plan and from the heap oracle."""
     outs = []
-    for plan in (Simulator._ff_cohorts, heap_cohorts):
+    for plan in (closed_form_cohorts, heap_cohorts):
         lists = [[0] * len(items) for _ in range(3)] + [[None] * len(items)]
         out = plan(_window_cohorts(items, window_end), window_end, seq)
         if out is None:
@@ -471,8 +484,13 @@ def test_suppression_marker_keeps_tiny_windows_correct():
     assert build(True) == build(False)
 
 
+def _entries(sim) -> list:
+    """Every queued entry, main heap then lane."""
+    return sim._queue + sim._lane
+
+
 def _queue_keys(sim) -> list:
-    return sorted((t, s, ev.name) for t, s, ev in sim._queue
+    return sorted((t, s, ev.name) for t, s, ev in _entries(sim)
                   if not ev.cancelled)
 
 
@@ -647,55 +665,68 @@ def _rekey_world(kind: str, ff: bool):
         sim.schedule(97 * NS_PER_MS, barrier, name="barrier")
         if ff:
             sim.enable_fast_forward()
-    handles = sorted((ev.ff for _, _, ev in sim._queue if ev.ff),
+    handles = sorted((ev.ff for _, _, ev in _entries(sim) if ev.ff),
                      key=lambda h: h._handle._event.seq)
     return sim, handles, samplers
 
 
 def _assert_handles_queued(sim, handles) -> None:
     """Every live handle's event is queued under the event's own key,
-    the heap is a heap, and ``pending_count()`` is exact."""
-    queue = sim._queue
-    live = {id(ev): (t, s) for t, s, ev in queue if not ev.cancelled}
+    each heap is a heap holding its own kind of event, and
+    ``pending_count()`` is exact."""
+    live = {id(ev): (t, s) for t, s, ev in _entries(sim)
+            if not ev.cancelled}
     assert sim.pending_count() == len(live)
     for h in handles:
         ev = h._handle._event
         if not h.cancelled:
             assert live[id(ev)] == (ev.time_ns, ev.seq)
-    assert all(queue[(i - 1) // 2][:2] < queue[i][:2]
-               for i in range(1, len(queue)))
+    _assert_lanes(sim)
 
 
 def _spy_rekeying(sim, handles) -> list:
     """Check every applied window of *sim* re-keys in place.  Returns
     one entry per applied window: True when its seqs were
-    cohort-accounted, False when the cohort plan declined, None when
-    an ordered handle fired in it (no cohort plan is tried)."""
+    cohort-accounted, False when the cohort ranking declined, None
+    when an ordered handle fired in it (no cohort plan is tried)."""
     window = Simulator._fast_forward_window.__get__(sim)
-    cohorts = Simulator._ff_cohorts
+    rank = Simulator._ff_rank
+    plan = Simulator._ff_plan
     paths: list = []
 
-    def spy_cohorts(*args):
-        plan = cohorts(*args)
-        paths[-1] = plan is not None
-        return plan
+    def spy_rank(*args):
+        ranked = rank(*args)
+        if not ranked:
+            paths[-1] = False
+        return ranked
+
+    def spy_plan(*args):
+        paths[-1] = True
+        return plan(*args)
+
+    def cancelled(sim) -> set:
+        return {id(ev) for _, _, ev in _entries(sim) if ev.cancelled}
 
     def spy_window(target_ns):
-        tombstones = sim._tombstones
+        tombstones = cancelled(sim)
         kept = [h._handle for h in handles]
         paths.append(None)
         applied = window(target_ns)
         if not applied:
             paths.pop()
             return 0
-        assert sim._tombstones == tombstones
+        # No tombstone is left behind (a window may pop or purge old
+        # ones), and the counter stays exact.
+        assert cancelled(sim) <= tombstones
+        assert sim._tombstones == len(cancelled(sim))
         assert all(h._handle is handle  # kept its EventHandle
                    for h, handle in zip(handles, kept))
         _assert_handles_queued(sim, handles)
         return applied
 
     sim._fast_forward_window = spy_window
-    sim._ff_cohorts = spy_cohorts
+    sim._ff_rank = spy_rank
+    sim._ff_plan = spy_plan
     return paths
 
 
@@ -753,7 +784,7 @@ def test_rekey_finds_events_after_a_mid_window_compaction():
 
     on, on_samplers, on_obs = build(True)
     off, off_samplers, off_obs = build(False)
-    handles = [ev.ff for _, _, ev in on._queue if ev.ff]
+    handles = [ev.ff for _, _, ev in _entries(on) if ev.ff]
     heap = on._queue
     for sim in (on, off):
         sim.run_until(100 * NS_PER_MS)
@@ -806,20 +837,21 @@ def test_bulk_hooks_are_called_once_per_name_per_window():
     windows: list = []  # [start, end, planned, first log index]
 
     def spy_window(target_ns):
-        windows.append([on._queue[0][0], None, False, len(log)])
+        # A window opens at the lane head.
+        windows.append([on._lane[0][0], None, False, len(log)])
         applied = window(target_ns)
         windows[-1][1] = on.now_ns
         if not applied:
             windows.pop()
         return applied
 
-    def spy_cohorts(*args):
-        plan = Simulator._ff_cohorts(*args)
+    def spy_plan(*args):
+        plan = Simulator._ff_plan(*args)
         windows[-1][2] = plan is not None
         return plan
 
     on._fast_forward_window = spy_window
-    on._ff_cohorts = spy_cohorts
+    on._ff_plan = spy_plan
     on.run_until(horizon)
     assert [s.state() for s in on_samplers] == \
         [s.state() for s in off_samplers]
@@ -868,8 +900,8 @@ def test_applier_scheduling_in_a_fused_window_raises(with_bulk):
               bulk=sneak if with_bulk else None)
     sim.enable_fast_forward()
     plans: list = []
-    sim._ff_cohorts = lambda *args: plans.append(
-        Simulator._ff_cohorts(*args)) or plans[-1]
+    sim._ff_plan = lambda *args: plans.append(
+        Simulator._ff_plan(*args)) or plans[-1]
     with pytest.raises(SimulationError, match="'sneaky'"):
         sim.run_until(100 * NS_PER_MS)
     assert plans and plans[-1] is not None
@@ -908,10 +940,242 @@ def test_fused_rekey_survives_an_applier_compacting_the_heap():
         sim.run_until(200 * NS_PER_MS)
     assert on.ff_windows > 0
     assert on._queue is not heap
-    handles = [ev.ff for _, _, ev in on._queue if ev.ff]
+    handles = [ev.ff for _, _, ev in _entries(on) if ev.ff]
     _assert_handles_queued(on, handles)
     assert [s.state() for s in on_samplers] == \
         [s.state() for s in off_samplers]
     assert (on.now_ns, on._seq, on.pending_count()) == \
         (off.now_ns, off._seq, off.pending_count())
     assert _queue_keys(on) == _queue_keys(off)
+
+
+# ------------------------------------------------------------ lane suite
+def _assert_lanes(sim) -> None:
+    """Certified events queue only in the lane, plain ones only in the
+    main heap, and each heap is a heap."""
+    assert all(ev.ff is None for _, _, ev in sim._queue)
+    assert all(ev.ff is not None for _, _, ev in sim._lane)
+    for heap in (sim._queue, sim._lane):
+        assert all(heap[(i - 1) // 2][:2] < heap[i][:2]
+                   for i in range(1, len(heap)))
+
+
+def _lane_world(spec: dict, ff: bool) -> SimpleNamespace:
+    """A world drawn by :func:`lane_specs`: certified handles (samplers
+    with or without a bulk applier, and ordered observers) registered
+    at t=0 or later by plain events, plain barrier chains, far-future
+    plain events that ordered observers cancel in bulk (tripping
+    compaction mid-window), and handle cancels from plain events and
+    from ordered observers.  Every plain and ordered callback logs
+    ``(now, name, sampler counts, pending)`` and checks the lanes."""
+    sim = Simulator()
+    w = SimpleNamespace(sim=sim, log=[], samplers={}, handles={},
+                        plain=[0], fires={})
+
+    def snapshot(name: str) -> None:
+        _assert_lanes(sim)
+        w.log.append((sim.now_ns, name,
+                      tuple(s.count for _, s in sorted(w.samplers.items())),
+                      sim.pending_count()))
+
+    far = [sim.schedule(100_000 * NS_PER_MS, lambda: None, name="far")
+           for _ in range(spec["far"])]
+
+    def act(action) -> None:
+        if action == "far":
+            for handle in far:
+                handle.cancel()
+        elif action in w.handles:
+            w.handles[action].cancel()
+
+    for i, (interval, delay, kind) in enumerate(spec["handles"]):
+        def register(i=i, interval=interval, kind=kind) -> None:
+            if kind == "ordered":
+                def observe(i=i) -> None:
+                    w.fires[i] = w.fires.get(i, 0) + 1
+                    snapshot(f"o{i}")
+                    for actor, nth, action in spec["acts"]:
+                        if actor == i and nth == w.fires[i]:
+                            act(action)
+
+                w.handles[i] = sim.every(
+                    interval * NS_PER_MS, observe, name=f"o{i}",
+                    fast_forward=True, independent=False)
+            else:
+                s = w.samplers[i] = Sampler(97 + i)
+                w.handles[i] = sim.every(
+                    interval * NS_PER_MS, s.tick, name=f"s{i % 3}",
+                    fast_forward=True,
+                    bulk=s.apply if kind == "bulk" else None)
+
+        if delay:
+            sim.schedule(delay * NS_PER_MS, register, name="register")
+        else:
+            register()
+
+    for c, period in enumerate(spec["chains"]):
+        def barrier(c=c, period=period) -> None:
+            w.plain[0] += 1
+            snapshot(f"p{c}")
+            sim.schedule(period * NS_PER_MS, barrier, name=f"p{c}")
+
+        sim.schedule(period * NS_PER_MS, barrier, name=f"p{c}")
+    for at, target in spec["cancels"]:
+        sim.schedule(at * NS_PER_MS, lambda target=target: act(target),
+                     name="cancel")
+    if ff:
+        sim.enable_fast_forward()
+    return w
+
+
+def _lane_observable(w) -> tuple:
+    sim = w.sim
+    return (sim.now_ns, sim._seq, sim.pending_count(), w.log,
+            [s.state() for _, s in sorted(w.samplers.items())],
+            _queue_keys(sim))
+
+
+def _run_lane_world(spec: dict, ff: bool) -> SimpleNamespace:
+    w = _lane_world(spec, ff)
+    if spec["until"]:
+        w.sim.run_until(spec["horizon"] * NS_PER_MS,
+                        until=lambda: w.plain[0] >= spec["until"])
+        _assert_lanes(w.sim)
+    if spec["checkpoint"]:
+        w.sim.run_until(max(w.sim.now_ns, spec["checkpoint"] * NS_PER_MS))
+        _assert_lanes(w.sim)
+        w = loads_state(dumps_state(w))
+        _assert_lanes(w.sim)
+    w.sim.run_until(spec["horizon"] * NS_PER_MS)
+    _assert_lanes(w.sim)
+    return w
+
+
+@st.composite
+def lane_specs(draw) -> dict:
+    handles = draw(st.lists(
+        st.tuples(st.sampled_from([1, 2, 3, 4, 6]),
+                  st.sampled_from([0, 0, 2, 3, 6, 12, 24]),
+                  st.sampled_from(["bulk", "bulk", "callback",
+                                   "ordered"])),
+        min_size=1, max_size=7))
+    n = len(handles)
+    targets = st.one_of(st.integers(0, n - 1), st.just("far"))
+    ordered = [i for i, (_, _, kind) in enumerate(handles)
+               if kind == "ordered"]
+    acts = draw(st.lists(st.tuples(st.sampled_from(ordered),
+                                   st.integers(1, 6), targets),
+                         max_size=3)) if ordered else []
+    horizon = draw(st.integers(60, 400))
+    return {
+        "handles": handles,
+        "chains": draw(st.lists(st.integers(5, 90), max_size=3)),
+        "far": draw(st.sampled_from([0, 0, 6, 30])),
+        "acts": acts,
+        "cancels": draw(st.lists(st.tuples(st.integers(1, horizon),
+                                           targets), max_size=2)),
+        "until": draw(st.sampled_from([0, 0, 1, 3])),
+        "checkpoint": draw(st.sampled_from([0, 0, horizon // 3,
+                                            horizon // 2 + 1])),
+        "horizon": horizon,
+    }
+
+
+@settings(max_examples=120, deadline=None)
+@given(spec=lane_specs())
+@example(spec={  # a declined window whose grouping rebuilds the lane
+    "handles": [(3, 0, "bulk"), (1, 0, "bulk")], "chains": [5], "far": 0,
+    "acts": [], "cancels": [(1, 0)], "until": 0, "checkpoint": 0,
+    "horizon": 60})
+def test_lane_matches_stepping_and_keeps_its_invariant(spec):
+    # Callback order (with the sampler counts and pending count each
+    # callback sees), the sequence counter, pending_count() and the
+    # queued keys equal fast-forward-off stepping; at every callback
+    # and every stop, no certified event sits in the main heap and no
+    # plain event in the lane.
+    on = _run_lane_world(spec, ff=True)
+    off = _run_lane_world(spec, ff=False)
+    assert _lane_observable(on) == _lane_observable(off)
+    assert off.sim.ff_windows == 0
+
+
+def test_cohort_cache_keeps_same_phase_cohorts_apart():
+    # Samplers registered at 12 ms, at the same 2 ms phase as others
+    # whose 12 ms firing is still queued, are grouped as a separate
+    # cohort; after that window both cohorts share (interval, next
+    # fire), and the cached records keep them apart, ordered by rank.
+    spec = {"handles": [(2, 0, "bulk")] * 3 + [(2, 12, "bulk")] * 3
+            + [(4, 0, "callback")],
+            "chains": [97], "far": 0, "acts": [], "cancels": [],
+            "until": 0, "checkpoint": 0, "horizon": 1_000}
+    on = _lane_world(spec, ff=True)
+    window = Simulator._fast_forward_window.__get__(on.sim)
+    plan = Simulator._ff_plan
+    shared = []
+    reused = []
+
+    def spy_window(target_ns):
+        cached = on.sim._ff_cache is not None
+        applied = window(target_ns)
+        if applied:
+            reused.append(cached)
+        return applied
+
+    def spy_plan(records, window_end, seq):
+        keys = [(rec[1], rec[2]) for rec in records]
+        shared.append(len(set(keys)) < len(keys))
+        return plan(records, window_end, seq)
+
+    on.sim._fast_forward_window = spy_window
+    on.sim._ff_plan = spy_plan
+    on.sim.run_until(spec["horizon"] * NS_PER_MS)
+    off = _run_lane_world(spec, ff=False)
+    assert _lane_observable(on) == _lane_observable(off)
+    assert any(shared)
+    assert reused.count(True) >= len(reused) - 3 > 0
+
+
+def test_fleet_duty_shard_windows_reuse_the_cohort_cache():
+    # On the fleet-duty shape, back-to-back windows skip regrouping:
+    # only the first windows of a shard group the lane.
+    from repro.fleet.deployment import ShardDeployment
+    from repro.fleet.scenario import SCENARIOS
+
+    scenario = SCENARIOS["duty"].scaled(things=5, shard_size=5,
+                                        duration_s=4.0, fast_forward=True)
+    deployment = ShardDeployment(scenario.shards()[0])
+    deployment.start()
+    sim = deployment.sim
+    window = Simulator._fast_forward_window.__get__(sim)
+    reused = []
+
+    def spy_window(target_ns):
+        cached = sim._ff_cache is not None
+        applied = window(target_ns)
+        if applied:
+            reused.append(cached)
+        return applied
+
+    sim._fast_forward_window = spy_window
+    sim.run_until(4 * 1_000 * NS_PER_MS)
+    _assert_lanes(sim)
+    assert len(reused) == sim.ff_windows > 0
+    assert reused.count(True) > 0
+    assert reused.count(False) <= 3
+
+
+def test_drain_between_windows_drops_the_cohort_cache():
+    # drain() cancels lane entries directly (no handle cancel), so it
+    # must drop the cache too: the drained samplers never fire again.
+    spec = {"handles": [(2, 0, "bulk")] * 4 + [(4, 0, "bulk")] * 2,
+            "chains": [53], "far": 0, "acts": [], "cancels": [],
+            "until": 0, "checkpoint": 0, "horizon": 600}
+    worlds = [_lane_world(spec, ff) for ff in (True, False)]
+    for w in worlds:
+        w.sim.run_until(300 * NS_PER_MS)
+        w.sim.drain(["s1"])
+        w.sim.run_until(spec["horizon"] * NS_PER_MS)
+        _assert_lanes(w.sim)
+    on, off = worlds
+    assert on.sim.ff_windows > 0
+    assert _lane_observable(on) == _lane_observable(off)

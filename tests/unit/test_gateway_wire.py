@@ -95,6 +95,74 @@ def test_ws_control_frames_are_limited_to_125_bytes(length, seed, mask,
             _read(frame, wire.ws_read)
 
 
+reserved_opcodes = st.sampled_from(
+    [op for op in range(16)
+     if op not in (0x0, 0x1, 0x2, wire.WS_OP_CLOSE, wire.WS_OP_PING,
+                   wire.WS_OP_PONG)])
+
+
+def _with_first_byte(frame: bytes, first: int) -> bytes:
+    return bytes([first]) + frame[1:]
+
+
+@settings(max_examples=40, deadline=None)
+@given(length=st.integers(min_value=0, max_value=125),
+       seed=st.integers(0, 2 ** 32), mask=masks,
+       opcode=st.one_of(data_opcodes, control_opcodes),
+       rsv=st.integers(min_value=1, max_value=7),
+       fin=st.booleans())
+def test_ws_read_rejects_reserved_bits(length, seed, mask, opcode, rsv,
+                                       fin):
+    # RSV1-3 are only for negotiated extensions, and none ever is.
+    frame = _client_frame(wire.ws_encode(_payload(length, seed), opcode),
+                          mask)
+    first = (0x80 if fin else 0) | rsv << 4 | opcode
+    with pytest.raises(wire.WireError, match="reserved bits"):
+        _read(_with_first_byte(frame, first), wire.ws_read)
+
+
+@settings(max_examples=40, deadline=None)
+@given(length=st.integers(min_value=0, max_value=125),
+       seed=st.integers(0, 2 ** 32), mask=masks, opcode=reserved_opcodes,
+       fin=st.booleans())
+@example(length=0, seed=0, mask=b"\x00\x00\x00\x00", opcode=0x3, fin=True)
+@example(length=4, seed=1, mask=b"\x01\x02\x03\x04", opcode=0xF,
+         fin=False)
+def test_ws_read_rejects_reserved_opcodes(length, seed, mask, opcode, fin):
+    frame = _client_frame(wire.ws_encode(_payload(length, seed), 0x2), mask)
+    first = (0x80 if fin else 0) | opcode
+    with pytest.raises(wire.WireError, match="reserved websocket opcode"):
+        _read(_with_first_byte(frame, first), wire.ws_read)
+
+
+@settings(max_examples=40, deadline=None)
+@given(length=st.integers(min_value=0, max_value=125),
+       seed=st.integers(0, 2 ** 32), mask=masks, opcode=control_opcodes)
+@example(length=2, seed=7, mask=b"\x0a\x0b\x0c\x0d", opcode=0x9)
+def test_ws_read_rejects_fragmented_control_frames(length, seed, mask,
+                                                   opcode):
+    # FIN clear on a ping, pong or close: control frames must not be
+    # fragmented, so such a ping is never answered.
+    payload = _payload(length, seed)
+    frame = _client_frame(wire.ws_encode(payload, opcode), mask)
+    assert _read(frame, wire.ws_read) == (opcode, payload)
+    with pytest.raises(wire.WireError, match="fragmented control"):
+        _read(_with_first_byte(frame, opcode), wire.ws_read)
+
+
+@settings(max_examples=20, deadline=None)
+@given(length=st.integers(min_value=0, max_value=200),
+       seed=st.integers(0, 2 ** 32), mask=masks,
+       opcode=st.sampled_from([0x0, 0x1, 0x2]))
+def test_ws_read_accepts_data_fragments(length, seed, mask, opcode):
+    # Data frames may be fragmented: FIN clear and continuation frames
+    # still read.
+    payload = _payload(length, seed)
+    frame = _client_frame(wire.ws_encode(payload, 0x2), mask)
+    assert _read(_with_first_byte(frame, opcode), wire.ws_read) == \
+        (opcode, payload)
+
+
 def test_oversized_request_head_is_a_wire_error():
     head = (b"GET / HTTP/1.1\r\nX-Filler: " + b"a" * 70_000
             + b"\r\n\r\n")

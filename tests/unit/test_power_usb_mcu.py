@@ -1,8 +1,13 @@
 """Unit tests for energy metering, the USB baseline and the MCU model."""
 
-import pytest
+import math
+import struct
 
-from repro.hw.power import EnergyMeter, PowerDraw
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.hw import power
+from repro.hw.power import EnergyMeter, PowerDraw, repeat_add
 from repro.hw.usb_baseline import SECONDS_PER_YEAR, UsbHostModel
 from repro.mcu.footprint import DEFAULT_FOOTPRINT, FootprintModel
 from repro.mcu.spec import ATMEGA128RFA1
@@ -55,6 +60,62 @@ def test_meter_add_n_rejects_a_negative_count():
     with pytest.raises(ValueError, match="count"):
         meter.add_n("idle", 0.33e-6, -1)
     assert meter.by_category() == {}
+
+
+def _adds(total: float, step: float, n: int) -> float:
+    for _ in range(n):
+        total += step
+    return total
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+magnitudes = st.integers(min_value=-40, max_value=6)
+totals = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.0 ** -1022, 1.0, 0.5 - 2 ** -54]),
+    st.builds(lambda f, e: f * 10.0 ** e,
+              st.floats(min_value=0, max_value=10), magnitudes))
+steps = st.one_of(
+    st.just(0.0),
+    st.builds(lambda f, e: f * 10.0 ** e,
+              st.floats(min_value=0, max_value=10), magnitudes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(total=totals, step=steps, n=st.integers(min_value=0, max_value=4000))
+@example(total=0.0, step=1.8e-6, n=4000)  # from zero across many binades
+@example(total=1.0 - 2 ** -53, step=2 ** -53, n=3)  # a tie at the top
+@example(total=2.0 ** 1023, step=2.0 ** 1000, n=5)
+def test_repeat_add_equals_sequential_adds(total, step, n):
+    assert _bits(repeat_add(total, step, n)) == _bits(_adds(total, step, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(total=st.floats(min_value=1e-12, max_value=1e3),
+       odd=st.integers(min_value=0, max_value=40),
+       shift=st.integers(min_value=-3, max_value=4),
+       n=st.integers(min_value=0, max_value=3000))
+def test_repeat_add_handles_half_ulp_ties(total, odd, shift, n):
+    # step / ulp(total) ends in exactly one half, in this binade or a
+    # nearby one, so round-half-even depends on the accumulator.
+    step = (2 * odd + 1) * math.ulp(total) * 2.0 ** shift / 2
+    assert _bits(repeat_add(total, step, n)) == _bits(_adds(total, step, n))
+
+
+@pytest.mark.parametrize("n", [power._ADD_LOOP_MAX - 1,
+                               power._ADD_LOOP_MAX, 5_000])
+def test_meter_add_n_equals_n_adds_across_the_loop_cutoff(n):
+    meter = EnergyMeter()
+    stepped = EnergyMeter()
+    for joules in (1.8e-6, 0.33e-6):
+        meter.add("idle", 0.1)
+        stepped.add("idle", 0.1)
+        meter.add_n("idle", joules, n)
+        for _ in range(n):
+            stepped.add("idle", joules)
+    assert _bits(meter.get("idle")) == _bits(stepped.get("idle"))
 
 
 # ------------------------------------------------------------------ USB host

@@ -4,7 +4,8 @@
 byte-identical to n calls of ``tick()``: the LCG state, the count, the
 reading total and the meter's float bits.  The lengths drawn straddle
 the 4,096-tick chunk, so single-chunk, exact-chunk and multi-chunk
-applications are all compared with stepping.
+applications are all compared with stepping, and the short lengths
+straddle the cutoff below which ``apply`` steps the LCG in a loop.
 """
 
 from __future__ import annotations
@@ -76,6 +77,43 @@ def test_extreme_states_jump_exactly(x, n):
         stepped.tick()
     applied.apply(n)
     assert _state(applied) == _state(stepped)
+
+
+STEP_MAX = sampling._STEP_MAX
+
+
+@settings(max_examples=30, deadline=None)
+@given(global_id=global_ids,
+       n=st.sampled_from(sorted({1, 2, 3, STEP_MAX - 1, STEP_MAX,
+                                 STEP_MAX + 1})))
+@example(global_id=0, n=STEP_MAX - 1)
+@example(global_id=0, n=STEP_MAX)
+def test_short_applications_step_exactly(global_id, n):
+    # Either side of the cutoff between the local LCG loop and the
+    # jump, and every length the loop takes (1..3).
+    assert STEP_MAX == 4
+    assert _state(_applied(global_id, n)) == _state(_stepped(global_id, n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(global_id=global_ids,
+       ns=st.lists(st.integers(min_value=1, max_value=2 * STEP_MAX),
+                   min_size=2, max_size=6))
+def test_loop_and_jump_applications_interleave(global_id, ns):
+    assert _state(_applied(global_id, *ns)) == \
+        _state(_stepped(global_id, sum(ns)))
+
+
+def test_only_short_jump_cuts_are_kept(monkeypatch):
+    # Cuts up to _CUT_MAX ticks are made once and kept; longer ones are
+    # made per call, so the cache stays bounded.  Jumps are exact
+    # either way.
+    monkeypatch.setattr(sampling, "_cuts", {})
+    cut_max = sampling._CUT_MAX
+    assert sampling._jump_slices(9) is sampling._jump_slices(9)
+    for n in (STEP_MAX, cut_max, cut_max + 1, 700, CHUNK, 2 * CHUNK + 9):
+        assert _state(_applied(5, n)) == _state(_stepped(5, n))
+    assert sorted(sampling._cuts) == [STEP_MAX, 9, cut_max]
 
 
 def test_jump_table_is_bounded_by_one_chunk(monkeypatch):

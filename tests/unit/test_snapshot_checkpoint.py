@@ -15,6 +15,7 @@ from repro.sim.rng import RngRegistry
 from repro.snapshot.checkpoint import (
     FORMAT_VERSION,
     CheckpointError,
+    _save_shard_sim_v4,
     digest_document,
     load_fleet_meta,
     load_shard,
@@ -326,6 +327,60 @@ def test_v3_states_with_removed_tiers_restore_and_run():
     instance = DriverInstance(image)
     vm.execute(instance, image.handlers[0])
     assert instance.globals[0] == 5
+
+
+def test_sim_v4_single_heap_checkpoint_restores_and_resumes(tmp_path,
+                                                            monkeypatch):
+    # A shard saved at Simulator schema v4 holds every event, certified
+    # ones included, in one heap, and its summary digests that heap in
+    # its raw order.  It must pass the unchanged audit, move the
+    # certified events into the lane before the first event runs, and
+    # resume to the uninterrupted run's metrics and queue.
+    scenario = SCENARIOS["duty"].scaled(
+        things=4, shard_size=4, duration_s=2.0, fast_forward=True)
+
+    def deployment():
+        built = ShardDeployment(scenario.shards()[0])
+        built.start()
+        return built
+
+    full = deployment()
+    full.sim.run_until(ns_from_s(2.0))
+    half = deployment()
+    half.sim.run_until(ns_from_s(1.0))
+    directory = tmp_path / "shard-0000"
+    _save_shard_sim_v4(half, directory)
+    manifest = read_manifest(directory)
+    assert manifest["layer_schemas"]["sim"]["Simulator"] == {
+        "version": 4, "hash": "310849d7026c1a27"}
+
+    states = []
+    restore = Simulator.__setstate__
+    monkeypatch.setattr(Simulator, "__setstate__", lambda self, state: (
+        states.append(dict(state)), restore(self, state))[1])
+    restored = load_shard(directory)  # audits against the v4 summary
+    assert states[0]["_schema"] == 4 and "_lane" not in states[0]
+    sim = restored.deployment.sim
+    assert sim._lane is None
+    certified = sum(ev.ff is not None for _, _, ev in sim._queue)
+    assert certified > 0
+    pending = sim.pending_count()
+
+    sim.run_until(ns_from_s(1.0))  # runs nothing, splits the heap
+    assert all(ev.ff is None for _, _, ev in sim._queue)
+    assert all(ev.ff is not None for _, _, ev in sim._lane)
+    assert len(sim._lane) == certified
+    assert sim.pending_count() == pending
+    sim.run_until(ns_from_s(2.0))
+    assert sim.ff_windows > 0
+    assert (sim.now_ns, sim._seq, sim.pending_count()) == \
+        (full.sim.now_ns, full.sim._seq, full.sim.pending_count())
+    keys = [sorted((t, s) for heap in (d.sim._queue, d.sim._lane)
+                   for t, s, ev in heap if not ev.cancelled)
+            for d in (restored.deployment, full)]
+    assert keys[0] == keys[1]
+    assert restored.deployment.finalize().snapshot() == \
+        full.finalize().snapshot()
 
 
 def test_scenario_round_trips_through_dict():
