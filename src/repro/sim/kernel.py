@@ -99,30 +99,26 @@ class PeriodicHandle:
     The underlying events reschedule themselves after each firing, so a
     periodic task never drains the queue on its own; drivers that use
     :meth:`Simulator.run` (rather than ``run_until``) must :meth:`cancel`
-    their periodic tasks or the run will not terminate.
+    their periodic tasks or the run will not terminate.  A handle
+    certified for fast-forward (``_ff``, see :meth:`Simulator.every`)
+    queues its events in the simulator's lane; any other queues them
+    in the main heap, where they end fast-forward windows.
     """
 
     __slots__ = ("_sim", "_interval_ns", "_callback", "_name", "_handle",
-                 "_cancelled", "_ff", "_independent", "_bulk")
+                 "_cancelled", "_ff", "_bulk")
 
     def __init__(self, sim: "Simulator", interval_ns: int,
                  callback: Callable[[], None], name: str,
-                 fast_forward: bool = False, independent: bool = True,
+                 fast_forward: bool = False,
                  bulk: Optional[Callable[[int], None]] = None) -> None:
         self._sim = sim
         self._interval_ns = interval_ns
         self._callback = callback
         self._name = name
         self._cancelled = False
-        #: Fast-forward certification (see Simulator.run_until).  A
-        #: certified handle asserts its callback neither schedules nor
-        #: cancels events; ``independent`` additionally asserts the
-        #: callback touches state disjoint from every other certified
-        #: handle and never reads the kernel clock, so N occurrences can
-        #: be applied out of merged order.  ``bulk``, when given, must
-        #: have the exact cumulative effect of N sequential callbacks.
+        #: Fast-forward certification (see Simulator.every).
         self._ff = bool(fast_forward)
-        self._independent = bool(independent)
         self._bulk = bulk
         if self._ff:
             self._handle = sim._schedule_certified(self)
@@ -162,12 +158,17 @@ class PeriodicHandle:
 
     def __setstate__(self, state: tuple) -> None:
         # Checkpoints written before the fast-forward tier predate the
-        # _ff/_independent/_bulk slots; default them uncertified.
+        # _ff/_bulk slots; default them uncertified.  Older certified
+        # handles may carry an ``_independent`` slot: False marked a
+        # reader of shared state, which now fires as a plain periodic
+        # (Simulator._ff_group moves its queued event to the main heap).
         _, slots = state
+        slots = dict(slots or {})
+        if not slots.pop("_independent", True):
+            slots["_ff"] = False
         self._ff = False
-        self._independent = True
         self._bulk = None
-        for name, value in (slots or {}).items():
+        for name, value in slots.items():
             setattr(self, name, value)
 
 
@@ -227,13 +228,12 @@ class Simulator:
         #: heads before this instant (set after an empty/tiny window so
         #: its O(lane) grouping is not repeated every event).
         self._ff_skip_until = 0
-        #: Cohort cache: ``(ranked cohort records, first ordered fire)``
-        #: as the last fused window left them, reused by the next window
-        #: while no lane entry has been pushed, popped or cancelled since
-        #: (a live lane pop fires a handle, which pushes first; a lane
-        #: tombstone exists only after a cancel).  Derived state: never
-        #: checkpointed.
-        self._ff_cache: Optional[tuple] = None
+        #: Cohort cache: the ranked cohort records as the last window
+        #: left them, reused by the next window while no lane entry has
+        #: been pushed, popped or cancelled since (a live lane pop fires
+        #: a handle, which pushes first; a lane tombstone exists only
+        #: after a cancel).  Derived state: never checkpointed.
+        self._ff_cache: Optional[list] = None
         #: Fast-forward statistics (windows applied / events skipped).
         self.ff_windows = 0
         self.ff_events = 0
@@ -331,7 +331,6 @@ class Simulator:
         *,
         name: str = "",
         fast_forward: bool = False,
-        independent: bool = True,
         bulk: Optional[Callable[[int], None]] = None,
     ) -> PeriodicHandle:
         """Run *callback* every ``interval_ns`` nanoseconds until cancelled.
@@ -342,23 +341,20 @@ class Simulator:
         nothing at all.
 
         ``fast_forward=True`` certifies the task for closed-form idle
-        fast-forward (the ``FastForwardable`` protocol): the callback
-        must never schedule or cancel events.  ``independent=True``
-        (the default) further asserts the callback's state is disjoint
-        from every other certified task and clock-free, so occurrences
-        may be applied per-handle instead of in merged order; pass
-        ``independent=False`` for readers of shared state (telemetry
-        samplers), which are then fired one-by-one in exact merged
-        order inside the window.  ``bulk(n)``, when given, must have
+        fast-forward: the callback must never schedule or cancel events,
+        never read the kernel clock, and touch only state that no other
+        task reads, so a window may apply its occurrences per handle
+        instead of in merged order.  ``bulk(n)``, when given, must have
         the exact cumulative effect — bitwise, for float accumulators —
-        of ``n`` sequential callbacks.
+        of ``n`` sequential callbacks.  A task that reads shared state
+        (a telemetry sampler) stays plain: its events are barriers that
+        end windows, so it sees exactly the stepped state.
         """
         interval_ns = int(interval_ns)
         if interval_ns <= 0:
             raise SimulationError(f"non-positive period: {interval_ns}")
         return PeriodicHandle(self, interval_ns, callback, name,
-                              fast_forward=fast_forward,
-                              independent=independent, bulk=bulk)
+                              fast_forward=fast_forward, bulk=bulk)
 
     # ---------------------------------------------------------------- running
     def step(self) -> bool:
@@ -488,19 +484,20 @@ class Simulator:
         consumes one sequence number, allocated before its callback,
         matching ``PeriodicHandle._fire``), so the re-keyed queued
         event of every handle carries the identical (time, seq) key it
-        would have had under stepping.  Windows in which no ordered
-        handle fires take one fused pass over cohorts: the lane's
-        entries grouped by (interval, first fire) and ranked by seq
-        (:meth:`_ff_group`, :meth:`_ff_rank`), or the cohort cache the
-        previous fused window left when nothing touched the lane since;
-        :meth:`_ff_plan` gives each due cohort's seqs in closed form,
-        and one loop per cohort applies every member's rounds and
-        re-keys its event in place.  Bulk trace hooks are called once
-        per event name, with the name's summed count stamped at its
-        last occurrence.  The other windows (:meth:`_ff_emulate`)
-        emulate seq allocation occurrence by occurrence in merged
-        order.
+        would have had under stepping.  A window is one pass over
+        cohorts: the lane's entries grouped by (interval, first fire)
+        and ranked by seq (:meth:`_ff_group`, :meth:`_ff_rank`), or the
+        cohort cache the previous window left when nothing touched the
+        lane since; :meth:`_ff_plan` gives each due cohort's seqs in
+        closed form, and one loop per cohort applies every member's
+        rounds and re-keys its event in place.  Bulk trace hooks are
+        called once per event name, with the name's summed count
+        stamped at its last occurrence.  A window whose cohorts' seq
+        ranges interleave is declined, and ``run_until`` steps it.
         """
+        cached = self._ff_cache
+        # Grouping first: it may move lane entries to the main heap.
+        records = self._ff_group() if cached is None else cached
         queue = self._queue
         # Tombstones above the barrier are popped here, as stepping
         # would pop them before it.
@@ -513,11 +510,6 @@ class Simulator:
         else:
             barrier_t = None
             window_end = target_ns
-        cached = self._ff_cache
-        if cached is None:
-            records, first_ordered = self._ff_group()
-        else:
-            records, first_ordered = cached
         total = 0
         for rec in records:
             t0 = rec[2]
@@ -531,14 +523,8 @@ class Simulator:
             self._ff_skip_until = limit + 1
             return 0
 
-        # An ordered handle due after the window does not count: when
-        # none fires in it, occurrence order among the independent
-        # handles is unobservable and only seq *accounting* has to be
-        # exact, which the cohort plan gets in closed form.
-        if first_ordered is not None and first_ordered <= window_end:
-            return self._ff_emulate(window_end)
         if cached is None and not self._ff_rank(records):
-            return self._ff_emulate(window_end)
+            return 0
         seq, planned = self._ff_plan(records, window_end, self._seq)
         self._seq = seq
         bulks = self._bulk_hooks
@@ -558,8 +544,7 @@ class Simulator:
                 for b in bulks:
                     b(last, name, n)
         # Any lane push or cancel by an applier drops this marker.
-        cache = (records, first_ordered)
-        self._ff_cache = cache
+        self._ff_cache = records
         profiler = self.profiler
         now = self._now_ns
         for rec, rounds, last, base in planned:
@@ -595,7 +580,7 @@ class Simulator:
             rec[2] = ft
             rec[5] = entries
         self._now_ns = now
-        if self._ff_cache is cache:
+        if self._ff_cache is records:
             # The records hold every live lane entry (grouping purged
             # the tombstones): rebuild the lane from them, and keep them
             # ranked for the next window.
@@ -616,41 +601,47 @@ class Simulator:
         self.ff_events += total
         return total
 
-    def _ff_group(self) -> tuple:
-        """``(cohort records, earliest ordered fire or None)`` from one
-        pass over the lane.
+    def _ff_group(self) -> list:
+        """Cohort records from one pass over the lane.
 
         A record is ``[lo, interval, first fire, members, names,
         entries]`` with members ``(time, seq, event, handle)`` sharing
         the interval and first fire; :meth:`_ff_rank` fills the rest.
         Tombstones are purged from the lane on the way (as compaction
-        would), so the records hold every live lane entry.
+        would), so the records hold every live lane entry.  So are the
+        entries of handles restored uncertified (see
+        :meth:`PeriodicHandle.__setstate__`), which move to the main
+        heap with their keys.
         """
         lane = self._lane
         cohorts: dict = {}
-        first_ordered: Optional[int] = None
-        dead = 0
+        dead = moved = 0
         for t, s, ev in lane:
             if ev.cancelled:
                 dead += 1
                 continue
             h = ev.ff
+            if not h._ff:
+                ev.ff = None
+                heapq.heappush(self._queue, (t, s, ev))
+                moved += 1
+                continue
             rec = cohorts.get((h._interval_ns, t))
             if rec is None:
                 cohorts[(h._interval_ns, t)] = \
                     [0, h._interval_ns, t, [(t, s, ev, h)], None, None]
             else:
                 rec[3].append((t, s, ev, h))
-            if not h._independent and (first_ordered is None
-                                       or t < first_ordered):
-                first_ordered = t
-        if dead:
+        if dead or moved:
             for _, _, ev in lane:
                 if ev.cancelled:
                     ev.popped = True
-            self._lane = _live(lane)
+            lane = [e for e in lane if e[2].ff is not None
+                    and not e[2].cancelled]
+            heapq.heapify(lane)
+            self._lane = lane
             self._tombstones -= dead
-        return list(cohorts.values()), first_ordered
+        return list(cohorts.values())
 
     @staticmethod
     def _ff_rank(records: list) -> bool:
@@ -661,9 +652,8 @@ class Simulator:
         member count)`` pairs in member order) and ``entries`` (the
         members' heap tuples).  Declines when two cohorts' seq ranges
         interleave: the plan does not apply.  Such ranges are typical
-        right after registration, before a first window linearizes
-        them; the per-occurrence path runs for that window, and the
-        ranges are blocks after it.
+        right after registration; stepping the events of the declined
+        window turns them into blocks.
         """
         for rec in records:
             members = rec[3]
@@ -719,8 +709,7 @@ class Simulator:
         Returns ``(end seq, [(record, R, L, base), ...])``, cohorts in
         rank order; member m of a cohort is re-keyed to ``(L + I, base
         + m)``.  That is O(cohorts**2) floor divisions per window, and
-        the end seq and every key match the per-occurrence path bit
-        for bit.
+        the end seq and every key match stepping bit for bit.
         """
         due = []
         for rec in records:
@@ -755,126 +744,6 @@ class Simulator:
                 base += before * nj
             planned.append((rec, rounds, last, base))
         return end_seq, planned
-
-    def _ff_emulate(self, window_end: int) -> int:
-        """The per-occurrence window path: ordered handles, or cohort
-        seq ranges that interleave.
-
-        Emulates seq allocation occurrence by occurrence in merged
-        order.  Independent handles' effects are deferred and applied
-        in per-handle bulk; ordered handles (``independent=False``)
-        fire in place after a flush, observing exactly the state they
-        would have seen.
-        """
-        self._ff_cache = None
-        # By (first time, seq): seqs are unique.
-        items = sorted((t, s, ev, ev.ff) for t, s, ev in self._lane
-                       if not ev.cancelled)
-        n_items = len(items)
-        pending = [0] * n_items
-        counts = [0] * n_items
-        first_t = [0] * n_items
-        last_t = [0] * n_items
-        final: list = [None] * n_items
-        seq = self._seq
-        hooks = self._trace_hooks
-        bulks = self._bulk_hooks
-        push = heapq.heappush
-        pop = heapq.heappop
-        applied = 0
-
-        def flush() -> None:
-            nonlocal seq
-            for j in range(n_items):
-                p = pending[j]
-                if not p:
-                    continue
-                pending[j] = 0
-                hj = items[j][3]
-                t_j = last_t[j]
-                name_j = items[j][2].name
-                for b in bulks:
-                    b(t_j, name_j, p)
-                self._seq = seq
-                bulk_cb = hj._bulk
-                if bulk_cb is not None:
-                    bulk_cb(p)
-                else:
-                    cb = hj._callback
-                    for _ in range(p):
-                        cb()
-                if self._seq != seq:
-                    raise SimulationError(
-                        f"fast-forward applier for '{name_j}' scheduled "
-                        f"new work; certified callbacks must not touch "
-                        f"the event queue")
-
-        emu = [(t, s, i) for i, (t, s, _, _) in enumerate(items)
-               if t <= window_end]
-        heapq.heapify(emu)
-        while emu:
-            t, s, i = pop(emu)
-            h = items[i][3]
-            if h._cancelled:
-                # Cancelled mid-window (by an ordered callback): the
-                # remaining occurrences must not be applied.
-                continue
-            nseq = seq
-            seq += 1
-            counts[i] += 1
-            if counts[i] == 1:
-                first_t[i] = t
-            last_t[i] = t
-            applied += 1
-            nt = t + h._interval_ns
-            if nt <= window_end:
-                push(emu, (nt, nseq, i))
-            else:
-                final[i] = (nt, nseq)
-            if h._independent:
-                pending[i] += 1
-                continue
-            flush()
-            self._now_ns = t
-            self._seq = seq
-            name = items[i][2].name
-            for hook in hooks:
-                hook(t, name)
-            h._callback()
-            if self._seq != seq:
-                raise SimulationError(
-                    f"fast-forwarded event '{name}' scheduled new "
-                    f"work; only schedule-free callbacks may be "
-                    f"certified")
-        flush()
-        self._seq = seq
-
-        profiler = self.profiler
-        for i in range(n_items):
-            c = counts[i]
-            if not c:
-                continue
-            _, _, ev, h = items[i]
-            if last_t[i] > self._now_ns:
-                self._now_ns = last_t[i]
-            if profiler is not None:
-                profiler.on_fast_forward(ev.name, c, first_t[i], last_t[i])
-            if h._cancelled:
-                # cancel() already tombstoned the placeholder event; no
-                # final occurrence to re-key.
-                continue
-            # Re-keyed in place with the emulated key, as in the fused
-            # pass.
-            ev.time_ns, ev.seq = final[i]
-        # Keys only grew.  An ordered callback's cancel may have
-        # compacted the heaps, rebinding the lane: take every key afresh
-        # from its event, then one heapify restores the heap invariant.
-        lane = self._lane
-        lane[:] = [(ev.time_ns, ev.seq, ev) for _, _, ev in lane]
-        heapq.heapify(lane)
-        self.ff_windows += 1
-        self.ff_events += applied
-        return applied
 
     def run_for(self, duration_ns: int, *, max_events: Optional[int] = None) -> int:
         """Run for ``duration_ns`` of simulated time from now."""

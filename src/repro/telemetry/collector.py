@@ -83,15 +83,11 @@ class ShardTelemetry:
         if config.exemplars and tracer is not None:
             self._exemplar_listener = self._on_trace_event
             tracer.add_listener(self._exemplar_listener)
-        # Certified for fast-forward but *ordered* (independent=False):
-        # sample() reads cross-cutting state (meters, metric counters,
-        # queue depths) that certified samplers also mutate, so during a
-        # skipped window each tick must observe every earlier-instant
-        # bulk application — the kernel fires ordered handles in exact
-        # merged (time, seq) order for precisely this case.
+        # A plain periodic: sample() reads state (meters, metric
+        # counters, queue depths) that fast-forward samplers mutate, so
+        # its events are barriers that end fast-forward windows.
         self._periodic = deployment.sim.every(
-            self.cadence_ns, self.sample, name="telemetry-sample",
-            fast_forward=True, independent=False)
+            self.cadence_ns, self.sample, name="telemetry-sample")
         # Anchor every series with a t=0 sample so window deltas and
         # plots start from the origin.
         self.sample()

@@ -18,7 +18,12 @@ from hypothesis import example, given, settings, strategies as st
 from repro.obs.tracer import install_tracer
 from repro.profile.collector import ShardProfiler
 from repro.profile.config import ProfileConfig
-from repro.sim.kernel import NS_PER_MS, SimulationError, Simulator
+from repro.sim.kernel import (
+    NS_PER_MS,
+    PeriodicHandle,
+    SimulationError,
+    Simulator,
+)
 from repro.snapshot.codec import dumps_state, loads_state
 
 
@@ -57,8 +62,8 @@ class Sampler:
 
 def _world(*, fast_forward: bool, barrier_ms: int = 50,
            cancel_at: int = 0):
-    """A small duty-cycled world: two independent certified samplers,
-    one ordered certified observer, one uncertified barrier chain."""
+    """A small duty-cycled world: two certified samplers, one plain
+    observer reading both, one plain barrier chain."""
     sim = Simulator()
     a = Sampler(11)
     b = Sampler(23)
@@ -75,8 +80,7 @@ def _world(*, fast_forward: bool, barrier_ms: int = 50,
         if cancel_at and len(observations) == cancel_at:
             handle_b.cancel()
 
-    sim.every(29 * NS_PER_MS, observe, name="observer",
-              fast_forward=True, independent=False)
+    sim.every(29 * NS_PER_MS, observe, name="observer")
 
     def barrier():
         barriers.append(sim.now_ns)
@@ -160,9 +164,10 @@ def test_fast_forward_preserves_future_event_order():
     assert orders[0] == orders[1]
 
 
-def test_ordered_observer_sees_merged_order_inside_windows():
-    # The observer reads both samplers' counters; every observation must
-    # reflect exactly the occurrences at strictly earlier (time, seq).
+def test_plain_observer_sees_exact_state_between_windows():
+    # The observer reads both samplers' counters; its events end
+    # windows, so every observation must reflect exactly the
+    # occurrences at strictly earlier (time, seq).
     off = _world(fast_forward=False, barrier_ms=400)
     on = _world(fast_forward=True, barrier_ms=400)
     off[0].run_until(1_200 * NS_PER_MS)
@@ -172,9 +177,9 @@ def test_ordered_observer_sees_merged_order_inside_windows():
 
 
 def test_cancel_during_skip_stops_cancelled_handle_exactly():
-    # The ordered observer cancels sampler-b mid-window: occurrences of
-    # b past the cancellation instant must not be applied, even though
-    # the window was planned before the cancel ran.
+    # The observer cancels sampler-b between two windows: occurrences of
+    # b past the cancellation instant must not be applied, and the next
+    # window must drop b's cohort member.
     horizon = 1_500 * NS_PER_MS
     off = _world(fast_forward=False, cancel_at=10)
     on = _world(fast_forward=True, cancel_at=10)
@@ -201,8 +206,9 @@ def test_cancelled_before_window_never_fires():
 def test_cohort_and_exact_paths_agree(monkeypatch):
     # The fleet-duty shape: 2 ms and 4 ms handles registered back to
     # back, so every window holds two cohorts whose rounds tie at each
-    # 4 ms instant.  The closed-form cohort path must match the forced
-    # per-occurrence emulation (statistics included) and plain stepping.
+    # 4 ms instant.  The closed-form cohort path must match plain
+    # stepping, and so must a run whose every window is declined by
+    # the ranking (run_until steps those).
     def build(mode: str):
         sim = Simulator()
         samplers = [Sampler(3 + i) for i in range(10)]
@@ -229,67 +235,9 @@ def test_cohort_and_exact_paths_agree(monkeypatch):
 
     cohort, exact, stepped = (build(m) for m in
                               ("cohort", "exact", "stepped"))
-    assert cohort == exact
-    assert cohort[0] == stepped[0]
+    assert cohort[0] == exact[0] == stepped[0]
+    assert exact[1] == (0, 0)
     assert cohort[1][0] > 0
-
-
-def test_ordered_handle_due_after_the_window_keeps_the_cohort_path():
-    # An ordered handle that fires in no window must not push those
-    # windows onto the per-occurrence path: independence is judged only
-    # over the items that fire inside the window.
-    def build(ff: bool):
-        sim = Simulator()
-        samplers = [Sampler(41 + i) for i in range(10)]
-        for i, s in enumerate(samplers):
-            sim.every(2 * NS_PER_MS, s.tick, name=f"s{i}",
-                      fast_forward=True, bulk=s.apply)
-        observations = []
-        sim.every(1_000 * NS_PER_MS,
-                  lambda: observations.append(
-                      (sim.now_ns, [s.count for s in samplers])),
-                  name="observer", fast_forward=True, independent=False)
-        chain = []
-
-        def barrier():
-            chain.append(sim.now_ns)
-            sim.schedule(100 * NS_PER_MS, barrier, name="barrier")
-
-        sim.schedule(100 * NS_PER_MS, barrier, name="barrier")
-        windows = []
-        if ff:
-            sim.enable_fast_forward()
-            window = Simulator._fast_forward_window.__get__(sim)
-            plan = Simulator._ff_plan
-
-            def spy_window(target_ns):
-                before = len(observations)
-                windows.append([None, None])
-                applied = window(target_ns)
-                if applied:
-                    windows[-1][0] = len(observations) > before
-                else:
-                    windows.pop()  # declined: nothing was planned
-                return applied
-
-            def spy_plan(*args):
-                windows[-1][1] = plan(*args)
-                return windows[-1][1]
-
-            sim._fast_forward_window = spy_window
-            sim._ff_plan = spy_plan
-        sim.run_until(10_000 * NS_PER_MS)
-        state = (sim.now_ns, sim._seq, sim.pending_count(),
-                 [s.state() for s in samplers], observations, chain,
-                 _queue_keys(sim))
-        return state, windows
-
-    on, windows = build(True)
-    off, _ = build(False)
-    assert on == off
-    quiet = [plan for fired, plan in windows if not fired]
-    assert len(quiet) >= 90
-    assert all(plan is not None for plan in quiet)
 
 
 def closed_form_cohorts(cohorts, window_end, seq):
@@ -574,10 +522,69 @@ def test_periodic_handle_restores_from_pre_ff_checkpoints():
     state = handle.__reduce_ex__(2)
     handle.__setstate__((None, {"_interval_ns": 42}))
     assert handle._ff is False
-    assert handle._independent is True
+    assert not hasattr(handle, "_independent")
     assert handle._bulk is None
     assert handle._interval_ns == 42
     assert state  # silences the unused-variable lint
+
+def test_ordered_handle_from_a_v5_checkpoint_resumes_as_a_barrier(
+        monkeypatch):
+    # Checkpoints of simulator schema v5 and older can hold a certified
+    # handle pickled with ``_independent=False``: a reader of shared
+    # state (the telemetry sampler) kept in the lane.  It restores as a
+    # plain periodic whose queued event leaves the lane before any
+    # window can skip it, so a resumed run with fast-forward on matches
+    # stepping exactly.
+    def build():
+        sim = Simulator()
+        s = Sampler(19)
+        sim.every(7 * NS_PER_MS, s.tick, name="sampler",
+                  fast_forward=True, bulk=s.apply)
+        log = []
+        observer = sim.every(
+            29 * NS_PER_MS, lambda: log.append((sim.now_ns, s.count)),
+            name="observer", fast_forward=True)
+
+        def barrier():
+            sim.schedule(450 * NS_PER_MS, barrier, name="barrier")
+
+        sim.schedule(450 * NS_PER_MS, barrier, name="barrier")
+        return sim, s, log, observer
+
+    full = build()
+    full[0].run_until(1_200 * NS_PER_MS)
+    saved = build()
+    saved[0].run_until(100 * NS_PER_MS)
+    assert any(ev.ff is saved[3] for _, _, ev in saved[0]._lane)
+
+    def v5_state(handle):
+        slots = {name: getattr(handle, name)
+                 for name in PeriodicHandle.__slots__
+                 if hasattr(handle, name)}
+        if handle is saved[3]:
+            slots["_independent"] = False
+        return None, slots
+
+    monkeypatch.setattr(PeriodicHandle, "__getstate__", v5_state,
+                        raising=False)
+    blob = dumps_state(saved)
+    monkeypatch.undo()
+    resumed = []
+    for ff in (True, False):
+        sim, s, log, observer = loads_state(blob)
+        assert observer._ff is False
+        if ff:
+            sim.enable_fast_forward()
+        sim.run_until(1_200 * NS_PER_MS)
+        _assert_lanes(sim)
+        resumed.append((sim.now_ns, sim._seq, sim.pending_count(),
+                        s.state(), log, _queue_keys(sim)))
+        assert (sim.ff_windows > 0) is ff
+    want = (full[0].now_ns, full[0]._seq, full[0].pending_count(),
+            full[1].state(), full[2], _queue_keys(full[0]))
+    assert resumed == [want, want]
+    assert want[4][-2:] == [(1_160 * NS_PER_MS, 165), (1_189 * NS_PER_MS, 169)]
+
 
 def test_stochastic_chains_act_as_ff_barriers():
     # Pins the fast-forward tier's structural limitation: a plain
@@ -645,11 +652,11 @@ def test_fleet_shard_ff_is_starved_by_churn_processes():
 
 def _rekey_world(kind: str, ff: bool):
     """``(sim, certified handles, samplers)``.  ``cohort``: the
-    fleet-duty shape, whose windows are cohort-accounted once the first
-    one has linearized the seq ranges.  ``ordered``: :func:`_world`
-    with barriers far enough apart that the ordered observer fires
-    inside windows."""
-    if kind == "ordered":
+    fleet-duty shape, whose windows are cohort-accounted once stepping
+    has linearized the seq ranges.  ``observed``: :func:`_world` with
+    barriers far enough apart that the plain observer bounds most
+    windows."""
+    if kind == "observed":
         sim, a, b, _, _ = _world(fast_forward=ff, barrier_ms=400)
         samplers = [a, b]
     else:
@@ -687,18 +694,10 @@ def _assert_handles_queued(sim, handles) -> None:
 def _spy_rekeying(sim, handles) -> list:
     """Check every applied window of *sim* re-keys in place.  Returns
     one entry per applied window: True when its seqs were
-    cohort-accounted, False when the cohort ranking declined, None
-    when an ordered handle fired in it (no cohort plan is tried)."""
+    cohort-accounted."""
     window = Simulator._fast_forward_window.__get__(sim)
-    rank = Simulator._ff_rank
     plan = Simulator._ff_plan
     paths: list = []
-
-    def spy_rank(*args):
-        ranked = rank(*args)
-        if not ranked:
-            paths[-1] = False
-        return ranked
 
     def spy_plan(*args):
         paths[-1] = True
@@ -725,19 +724,18 @@ def _spy_rekeying(sim, handles) -> list:
         return applied
 
     sim._fast_forward_window = spy_window
-    sim._ff_rank = spy_rank
     sim._ff_plan = spy_plan
     return paths
 
 
-@pytest.mark.parametrize("kind", ["cohort", "ordered"])
+@pytest.mark.parametrize("kind", ["cohort", "observed"])
 def test_windows_rekey_certified_events_in_place(kind):
     on, on_handles, on_samplers = _rekey_world(kind, ff=True)
     off, off_handles, off_samplers = _rekey_world(kind, ff=False)
     paths = _spy_rekeying(on, on_handles)
     horizon = 1_000 * NS_PER_MS
     assert on.run_until(horizon) == off.run_until(horizon)
-    assert (True if kind == "cohort" else None) in paths
+    assert paths and all(paths)
     assert on.pending_count() == off.pending_count()
     assert _queue_keys(on) == _queue_keys(off)
     # cancel() through the kept handle suppresses the next occurrence.
@@ -756,10 +754,10 @@ def test_windows_rekey_certified_events_in_place(kind):
 
 
 def test_rekey_finds_events_after_a_mid_window_compaction():
-    # The ordered observer cancels a dozen far-future plain events at
-    # its second firing, so _maybe_compact rebinds the heap inside the
-    # window; the re-key must find each handle's event where the
-    # rebuilt heap put it.
+    # The observer cancels a dozen far-future plain events at its
+    # second firing, so _maybe_compact rebinds both heaps between two
+    # windows; the re-keys after it must
+    # find each handle's event where the rebuilt heaps put it.
     def build(ff: bool):
         sim = Simulator()
         samplers = [Sampler(5 + i) for i in range(3)]
@@ -776,8 +774,7 @@ def test_rekey_finds_events_after_a_mid_window_compaction():
                 for handle in far:
                     handle.cancel()
 
-        sim.every(7 * NS_PER_MS, observe, name="observer",
-                  fast_forward=True, independent=False)
+        sim.every(7 * NS_PER_MS, observe, name="observer")
         if ff:
             sim.enable_fast_forward()
         return sim, samplers, observations
@@ -788,8 +785,8 @@ def test_rekey_finds_events_after_a_mid_window_compaction():
     heap = on._queue
     for sim in (on, off):
         sim.run_until(100 * NS_PER_MS)
-    assert on.ff_windows == 1
-    assert on._queue is not heap  # compacted inside the window
+    assert on.ff_windows > 2
+    assert on._queue is not heap  # compacted between windows
     _assert_handles_queued(on, handles)
     assert on_obs == off_obs
     assert [s.state() for s in on_samplers] == \
@@ -884,7 +881,7 @@ def test_bulk_hooks_are_called_once_per_name_per_window():
 @pytest.mark.parametrize("with_bulk", [True, False],
                          ids=["bulk", "callback"])
 def test_applier_scheduling_in_a_fused_window_raises(with_bulk):
-    # One independent cohort, so the window takes the fused path; the
+    # One cohort, so the window takes the fused path; the
     # applier (bulk or repeated callback) schedules work, which the
     # per-applier seq guard must catch and name.
     sim = Simulator()
@@ -962,12 +959,12 @@ def _assert_lanes(sim) -> None:
 
 def _lane_world(spec: dict, ff: bool) -> SimpleNamespace:
     """A world drawn by :func:`lane_specs`: certified handles (samplers
-    with or without a bulk applier, and ordered observers) registered
-    at t=0 or later by plain events, plain barrier chains, far-future
-    plain events that ordered observers cancel in bulk (tripping
-    compaction mid-window), and handle cancels from plain events and
-    from ordered observers.  Every plain and ordered callback logs
-    ``(now, name, sampler counts, pending)`` and checks the lanes."""
+    with or without a bulk applier, and plain periodic observers)
+    registered at t=0 or later by plain events, plain barrier chains,
+    far-future plain events that observers cancel in bulk (tripping
+    compaction between windows), and handle cancels from plain events
+    and from observers.  Every plain callback logs ``(now, name,
+    sampler counts, pending)`` and checks the lanes."""
     sim = Simulator()
     w = SimpleNamespace(sim=sim, log=[], samplers={}, handles={},
                         plain=[0], fires={})
@@ -990,7 +987,7 @@ def _lane_world(spec: dict, ff: bool) -> SimpleNamespace:
 
     for i, (interval, delay, kind) in enumerate(spec["handles"]):
         def register(i=i, interval=interval, kind=kind) -> None:
-            if kind == "ordered":
+            if kind == "observer":
                 def observe(i=i) -> None:
                     w.fires[i] = w.fires.get(i, 0) + 1
                     snapshot(f"o{i}")
@@ -999,8 +996,7 @@ def _lane_world(spec: dict, ff: bool) -> SimpleNamespace:
                             act(action)
 
                 w.handles[i] = sim.every(
-                    interval * NS_PER_MS, observe, name=f"o{i}",
-                    fast_forward=True, independent=False)
+                    interval * NS_PER_MS, observe, name=f"o{i}")
             else:
                 s = w.samplers[i] = Sampler(97 + i)
                 w.handles[i] = sim.every(
@@ -1057,15 +1053,15 @@ def lane_specs(draw) -> dict:
         st.tuples(st.sampled_from([1, 2, 3, 4, 6]),
                   st.sampled_from([0, 0, 2, 3, 6, 12, 24]),
                   st.sampled_from(["bulk", "bulk", "callback",
-                                   "ordered"])),
+                                   "observer"])),
         min_size=1, max_size=7))
     n = len(handles)
     targets = st.one_of(st.integers(0, n - 1), st.just("far"))
-    ordered = [i for i, (_, _, kind) in enumerate(handles)
-               if kind == "ordered"]
-    acts = draw(st.lists(st.tuples(st.sampled_from(ordered),
+    observers = [i for i, (_, _, kind) in enumerate(handles)
+                 if kind == "observer"]
+    acts = draw(st.lists(st.tuples(st.sampled_from(observers),
                                    st.integers(1, 6), targets),
-                         max_size=3)) if ordered else []
+                         max_size=3)) if observers else []
     horizon = draw(st.integers(60, 400))
     return {
         "handles": handles,
@@ -1087,6 +1083,10 @@ def lane_specs(draw) -> dict:
     "handles": [(3, 0, "bulk"), (1, 0, "bulk")], "chains": [5], "far": 0,
     "acts": [], "cancels": [(1, 0)], "until": 0, "checkpoint": 0,
     "horizon": 60})
+@example(spec={  # two cached cohorts sharing (interval, next fire)
+    "handles": [(2, 0, "bulk")] * 2 + [(2, 12, "bulk")] * 2
+    + [(4, 0, "callback")], "chains": [97], "far": 0, "acts": [],
+    "cancels": [], "until": 0, "checkpoint": 0, "horizon": 300})
 def test_lane_matches_stepping_and_keeps_its_invariant(spec):
     # Callback order (with the sampler counts and pending count each
     # callback sees), the sequence counter, pending_count() and the
