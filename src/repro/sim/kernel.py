@@ -618,6 +618,7 @@ class Simulator:
         dead = moved = 0
         for t, s, ev in lane:
             if ev.cancelled:
+                ev.popped = True
                 dead += 1
                 continue
             h = ev.ff
@@ -633,9 +634,6 @@ class Simulator:
             else:
                 rec[3].append((t, s, ev, h))
         if dead or moved:
-            for _, _, ev in lane:
-                if ev.cancelled:
-                    ev.popped = True
             lane = [e for e in lane if e[2].ff is not None
                     and not e[2].cancelled]
             heapq.heapify(lane)
