@@ -527,11 +527,12 @@ def test_periodic_handle_restores_from_pre_ff_checkpoints():
     assert handle._interval_ns == 42
     assert state  # silences the unused-variable lint
 
-def test_ordered_handle_from_a_v5_checkpoint_resumes_as_a_barrier(
+
+def test_ordered_handle_from_an_old_checkpoint_resumes_as_a_barrier(
         monkeypatch):
-    # Checkpoints of simulator schema v5 and older can hold a certified
-    # handle pickled with ``_independent=False``: a reader of shared
-    # state (the telemetry sampler) kept in the lane.  It restores as a
+    # Checkpoints written while readers of shared state could still be
+    # certified as ordered hold such a handle (the telemetry sampler)
+    # in the lane, pickled with ``_independent=False``.  It restores as a
     # plain periodic whose queued event leaves the lane before any
     # window can skip it, so a resumed run with fast-forward on matches
     # stepping exactly.
