@@ -30,7 +30,7 @@ from repro.telemetry.series import SeriesBank
 
 #: Default SLOs for the loadgen run.  Latency bounds are generous —
 #: the point in CI is the *shape* (windowed verdicts, ok/degraded
-#: statuses), regression magnitudes are the sentinel's job.
+#: statuses), not latency regressions.
 DEFAULT_SLOS: Tuple[str, ...] = (
     # The fleet's natural in-fleet read-timeout rate (things whose
     # driver install was lost never answer reads) sits around 1-4%;

@@ -14,7 +14,7 @@ driver code.
 
 Tracing is off by default: every instrumentation point is guarded by a
 ``sim.tracer is None`` check, so the disabled-mode cost is one
-attribute load per hook (benchmarked by ``benchmarks/bench_obs.py``).
+attribute load per hook (timed by ``benchmarks/overhead.py``).
 The kernel itself binds its one observed ``step``/``schedule_at`` pair,
 shared with :mod:`repro.profile`, only while a tracer or profiler is
 attached.

@@ -3,9 +3,8 @@
 Works on the plain-data ``summary.json`` documents (never unpickles
 state), so it can compare checkpoints across python versions and even
 checkpoints whose layer schemas no longer load.  Documents are
-flattened to dotted paths with the same walker the regression sentinel
-uses, then compared key-by-key into ``added`` / ``removed`` /
-``changed`` buckets.
+flattened to dotted paths, then compared key-by-key into ``added`` /
+``removed`` / ``changed`` buckets.
 
 The intended workflow (see EXPERIMENTS.md) is chaos bisection: run a
 failing campaign with periodic checkpoints, then diff the checkpoint
@@ -17,7 +16,21 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from repro.telemetry.sentinel import flatten
+
+def flatten(document: object, prefix: str = "") -> Dict[str, object]:
+    """Flatten nested dicts/lists into ``a.b.0.c`` → leaf paths."""
+    out: Dict[str, object] = {}
+    if isinstance(document, dict):
+        for key in sorted(document):
+            path = f"{prefix}.{key}" if prefix else str(key)
+            out.update(flatten(document[key], path))
+    elif isinstance(document, list):
+        for index, item in enumerate(document):
+            path = f"{prefix}.{index}" if prefix else str(index)
+            out.update(flatten(item, path))
+    else:
+        out[prefix] = document
+    return out
 
 
 def diff_documents(old: dict, new: dict) -> Dict[str, Dict[str, Any]]:

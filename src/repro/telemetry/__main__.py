@@ -5,7 +5,6 @@ Examples::
     python -m repro.telemetry run --scenario smoke --workers 2
     python -m repro.telemetry run --scenario metro \\
         --openmetrics metrics.om --rule "duty: radio_duty_cycle.p95 < 8%"
-    python -m repro.telemetry sentinel BENCH_fleet.json --ref HEAD~1
     python -m repro.telemetry --smoke      # the CI gate
 
 The smoke gate runs a telemetry-enabled scenario on one and two
@@ -162,62 +161,6 @@ def _cmd_smoke(args) -> int:
     return 0
 
 
-def _cmd_sentinel(args) -> int:
-    from repro.telemetry.sentinel import (
-        DEFAULT_SENTINEL_RULES,
-        SentinelRule,
-        compare,
-        load_baseline,
-        load_baseline_status,
-        report_lines,
-    )
-
-    rules = list(DEFAULT_SENTINEL_RULES)
-    for text in args.watch or ():
-        try:
-            pattern, direction = text.rsplit(":", 1)
-            rules.insert(0, SentinelRule(pattern, direction=direction,
-                                         tolerance=args.tolerance))
-        except ValueError as exc:
-            print(f"bad --watch '{text}': {exc}", file=sys.stderr)
-            return 2
-
-    regressions = 0
-    for path in args.scorecards:
-        try:
-            current = load_baseline(path)
-        except (OSError, FileNotFoundError, json.JSONDecodeError) as exc:
-            # The *current* scorecard is this run's own output — if it
-            # is unreadable, the invocation itself is broken.
-            print(f"{path}: cannot load current scorecard: {exc}",
-                  file=sys.stderr)
-            return 2
-        if args.ref:
-            status, baseline = load_baseline_status(path, ref=args.ref)
-            origin = f"{args.ref}:{path}"
-        else:
-            status, baseline = load_baseline_status(args.baseline)
-            origin = args.baseline
-        if status != "ok":
-            # First run on a branch (or a mangled baseline): nothing to
-            # judge against is a status, not a crash.
-            print(f"== {path}: no baseline ({status}: {origin}) — "
-                  f"nothing to compare, treating as clean")
-            continue
-        findings = compare(baseline, current, rules)
-        flagged = [f for f in findings if f.regression]
-        regressions += len(flagged)
-        print(f"== {path} ({len(findings)} judged, "
-              f"{len(flagged)} regressions)")
-        for line in report_lines(findings if args.verbose else flagged):
-            print(f"  {line}")
-    if regressions:
-        print(f"\nsentinel: {regressions} regressions")
-        return 1
-    print("\nsentinel: no regressions")
-    return 0
-
-
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -227,7 +170,7 @@ def main(argv=None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.telemetry",
-        description="fleet time-series telemetry, health and sentinels",
+        description="fleet time-series telemetry and health",
     )
     sub = parser.add_subparsers(dest="command")
 
@@ -256,31 +199,11 @@ def main(argv=None) -> int:
     smoke_p.add_argument("--out-dir", default="telemetry-artifacts",
                          help="artifact directory ('' to skip writing)")
 
-    sent_p = sub.add_parser("sentinel",
-                            help="diff BENCH_*.json scorecards")
-    sent_p.add_argument("scorecards", nargs="+",
-                        help="current scorecard path(s)")
-    sent_p.add_argument("--ref", default=None,
-                        help="git ref holding the baselines "
-                             "(e.g. HEAD~1)")
-    sent_p.add_argument("--baseline", default=None,
-                        help="explicit baseline file (alternative "
-                             "to --ref)")
-    sent_p.add_argument("--watch", action="append", metavar="PAT:DIR",
-                        help="extra rule, e.g. '*events_per_s:higher'")
-    sent_p.add_argument("--tolerance", type=float, default=0.05)
-    sent_p.add_argument("--verbose", action="store_true",
-                        help="also print non-regressed leaves")
-
     args = parser.parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "smoke":
         return _cmd_smoke(args)
-    if args.command == "sentinel":
-        if not args.ref and not args.baseline:
-            sent_p.error("one of --ref or --baseline is required")
-        return _cmd_sentinel(args)
     parser.print_help()
     return 2
 

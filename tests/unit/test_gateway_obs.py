@@ -22,7 +22,6 @@ from repro.gateway.obs import (
 )
 from repro.sim.stats import percentile
 from repro.telemetry.export import to_openmetrics, validate_openmetrics
-from repro.telemetry.sentinel import DEFAULT_SENTINEL_RULES
 
 
 def _result(status=200, admitted_ns=0, sim_latency_ns=0, trace_id=None):
@@ -284,13 +283,3 @@ class TestStreamDropped:
         series = next(s for s in snap["series"]
                       if s["name"] == "gateway_stream_dropped_total")
         assert series["samples"][-1][1] == 3
-
-
-def test_sentinel_rules_cover_decomposition():
-    paths = ("load.queue_wait_p95_ms", "load.sim_exec_p95_ms",
-             "obs_overhead.obs_overhead_ratio")
-    for path in paths:
-        rule = next((r for r in DEFAULT_SENTINEL_RULES
-                     if r.matches(path)), None)
-        assert rule is not None, path
-        assert rule.direction == "lower"

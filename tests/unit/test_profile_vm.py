@@ -128,6 +128,25 @@ def test_detach_restores_the_uncounted_fast_loop():
     assert vm._execute_fast is fastpath.execute_fast
 
 
+def test_unprofiled_deployment_keeps_the_uncounted_hot_paths():
+    from repro.fleet.deployment import ShardDeployment
+    from repro.fleet.scenario import SCENARIOS
+    from repro.sim.kernel import Simulator
+    from repro.vm import fastpath
+
+    scenario = SCENARIOS["smoke"].scaled(things=2, shard_size=2,
+                                         duration_s=1.0)
+    deployment = ShardDeployment(scenario.shards()[0])
+    sim = deployment.sim
+    assert sim.profiler is None
+    assert sim.step.__func__ is Simulator.step
+    assert sim.schedule_at.__func__ is Simulator.schedule_at
+    assert deployment.things
+    for thing in deployment.things:
+        assert thing.drivers.vm._hit_recorder is None
+        assert thing.drivers.vm._execute_fast is fastpath.execute_fast
+
+
 # -------------------------------------------------------------- merge
 def _heat(code: bytes, hits):
     import hashlib

@@ -27,7 +27,7 @@ from repro.snapshot.checkpoint import (
     scenario_to_dict,
 )
 from repro.snapshot.codec import dumps_state, loads_state, pack_stream
-from repro.snapshot.diff import diff_documents, diff_lines
+from repro.snapshot.diff import diff_documents, diff_lines, flatten
 from repro.snapshot.migrate import register_state_migration, upgrade_state
 from repro.snapshot.state import (
     RNG_DIGEST_KEY,
@@ -387,6 +387,11 @@ def test_scenario_round_trips_through_dict():
     scenario = SCENARIOS["smoke"].scaled(things=6, shard_size=3, seed=9)
     rebuilt = scenario_from_dict(scenario_to_dict(scenario))
     assert rebuilt == scenario
+
+
+def test_flatten_nested_dicts_and_lists():
+    flat = flatten({"a": {"b": 1}, "c": [10, {"d": 2}]})
+    assert flat == {"a.b": 1, "c.0": 10, "c.1.d": 2}
 
 
 def test_diff_documents_buckets_changes():

@@ -14,7 +14,10 @@ engines over:
   engines agree, trap-for-trap), and
 * dedicated trap scenarios: stack over/underflow, division by zero,
   runaway handlers, bad slots, bad indices, invalid opcodes, truncated
-  operands, jumps off both ends of the code.
+  operands, jumps off both ends of the code,
+* every handler of every catalogue driver, and
+* a small metro fleet, whose merged metrics must not depend on the
+  engine.
 """
 
 from __future__ import annotations
@@ -31,7 +34,10 @@ from repro.dsl.bytecode import (
     Op,
     SlotDef,
 )
+from repro.drivers.catalog import CATALOG
 from repro.dsl.types import INT32, UINT8, UINT32
+from repro.fleet.runner import run_scenario
+from repro.fleet.scenario import SCENARIOS
 from repro.vm.machine import DriverInstance, VirtualMachine, VmTrap
 
 
@@ -312,3 +318,43 @@ def test_trap_wrong_arg_count_in_both_modes():
         vm = VirtualMachine(mode=mode)
         with pytest.raises(VmTrap, match="handler expects 2 args, got 1"):
             vm.execute(DriverInstance(image), image.handlers[0], (1,))
+
+
+# --------------------------------------------------------- catalogue drivers
+_CATALOG_HANDLERS = [
+    (key, index)
+    for key, spec in CATALOG.items()
+    for index in range(len(spec.compile().handlers))
+]
+
+
+def _catalog_outcome(mode, image, handler):
+    vm = VirtualMachine(mode=mode)
+    try:
+        result = vm.execute(
+            DriverInstance(image), handler, tuple(range(handler.n_params)),
+            signal_sink=lambda *_: None, return_sink=lambda _: None,
+        )
+    except VmTrap as trap:
+        return ("trap", str(trap))
+    return (result.cycles, result.steps)
+
+
+@pytest.mark.parametrize(
+    "key,index", _CATALOG_HANDLERS,
+    ids=[f"{key}-{index}" for key, index in _CATALOG_HANDLERS])
+def test_catalog_handler_matches_reference(key, index):
+    image = CATALOG[key].compile()
+    handler = image.handlers[index]
+    assert (_catalog_outcome("fast", image, handler)
+            == _catalog_outcome("reference", image, handler))
+
+
+def test_fleet_metrics_do_not_depend_on_vm_mode(monkeypatch):
+    scenario = SCENARIOS["metro"].scaled(things=20, duration_s=5.0)
+    merged = {}
+    for mode in ("reference", "fast"):
+        monkeypatch.setenv("REPRO_VM_MODE", mode)
+        merged[mode] = run_scenario(scenario, workers=1).merged
+    assert merged["fast"]["counters"]["vm.events_dispatched"] > 0
+    assert merged["fast"] == merged["reference"]
