@@ -27,6 +27,7 @@ from repro.net.stack import NetworkStack
 from repro.protocol import messages as proto
 from repro.protocol.messages import SequenceCounter, decode_message
 from repro.sim.kernel import EventHandle, Simulator, ns_from_s
+from repro.snapshot.state import DeclaredState
 
 
 @dataclass(frozen=True)
@@ -113,32 +114,18 @@ class _Pending:
             self.retransmit.cancel()
 
 
-class Client:
+class Client(DeclaredState):
     """A µPnP client endpoint."""
 
     SNAPSHOT_SCHEMA = {
         "layer": "core",
         "version": 1,
-        "fields": ("sim", "stack", "_seq", "_retry", "_rng", "timer_scale",
-                   "_dups", "_pending", "_streams", "events"),
+        "fields": ("sim", "stack", "_obs_track", "_seq", "_default_timeout_s",
+                   "_retry", "_rng", "timer_scale", "_dups", "_pending",
+                   "_streams", "_stream_callbacks",
+                   "_advertisement_listeners", "events",
+                   "_event_listeners"),
     }
-
-    # ------------------------------------------------------------ checkpoint
-    def snapshot_state(self) -> dict:
-        state = dict(self.__dict__)
-        state["_schema"] = self.SNAPSHOT_SCHEMA["version"]
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        from repro.snapshot.migrate import upgrade_state
-
-        state = dict(upgrade_state(type(self), state))
-        state.pop("_schema", None)
-        self.__dict__.clear()
-        self.__dict__.update(state)
-
-    __getstate__ = snapshot_state
-    __setstate__ = restore_state
 
     def __init__(
         self,

@@ -38,6 +38,7 @@ from repro.protocol.reliability import (
     request_key,
 )
 from repro.sim.kernel import EventHandle, Simulator, ns_from_s
+from repro.snapshot.state import DeclaredState
 
 
 @dataclass
@@ -80,33 +81,17 @@ class _Pending:
             self.retransmit.cancel()
 
 
-class Manager:
+class Manager(DeclaredState):
     """A µPnP manager instance backed by the global registry."""
 
     SNAPSHOT_SCHEMA = {
         "layer": "core",
         "version": 1,
-        "fields": ("sim", "registry", "stack", "_seq", "_retry", "_rng",
-                   "timer_scale", "_pending", "_install_cache", "stats",
-                   "events", "known_inventories"),
+        "fields": ("sim", "registry", "stack", "anycast_address", "_seq",
+                   "_default_timeout_s", "_retry", "_rng", "timer_scale",
+                   "_pending", "_install_cache", "stats", "events",
+                   "_event_listeners", "known_inventories"),
     }
-
-    # ------------------------------------------------------------ checkpoint
-    def snapshot_state(self) -> dict:
-        state = dict(self.__dict__)
-        state["_schema"] = self.SNAPSHOT_SCHEMA["version"]
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        from repro.snapshot.migrate import upgrade_state
-
-        state = dict(upgrade_state(type(self), state))
-        state.pop("_schema", None)
-        self.__dict__.clear()
-        self.__dict__.update(state)
-
-    __getstate__ = snapshot_state
-    __setstate__ = restore_state
 
     def __init__(
         self,

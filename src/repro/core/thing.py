@@ -54,6 +54,7 @@ from repro.protocol.reliability import (
 from repro.protocol.tlv import Tlv, TlvType
 from repro.sim.kernel import EventHandle, Simulator, ns_from_s
 from repro.sim.rng import RngRegistry
+from repro.snapshot.state import DeclaredState
 from repro.vm.driver_manager import DriverManager
 from repro.vm.machine import ReturnValue
 from repro.vm.peripheral_controller import (
@@ -101,35 +102,21 @@ class _StreamState:
     seq: SequenceCounter = field(default_factory=SequenceCounter)
 
 
-class Thing:
+class Thing(DeclaredState):
     """One embedded IoT device running the full µPnP stack."""
 
     SNAPSHOT_SCHEMA = {
         "layer": "core",
         "version": 1,
         "fields": ("sim", "label", "meter", "_rng", "board", "router",
-                   "drivers", "controller", "stack", "_seq", "_buses",
+                   "drivers", "controller", "stack", "_manager_address",
+                   "_default_stream_interval_s", "zone", "_seq", "_buses",
                    "_groups", "_pending_driver", "_streams",
-                   "_install_requests", "_replies", "_upload_dups",
-                   "_crashed", "timer_scale", "events"),
+                   "_install_traces", "_install_retry", "_retry_rng",
+                   "timer_scale", "_install_requests", "_replies",
+                   "_reply_cache_hits", "_upload_dups", "_crashed",
+                   "_boot_advertise", "events", "_listeners"),
     }
-
-    # ------------------------------------------------------------ checkpoint
-    def snapshot_state(self) -> dict:
-        state = dict(self.__dict__)
-        state["_schema"] = self.SNAPSHOT_SCHEMA["version"]
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        from repro.snapshot.migrate import upgrade_state
-
-        state = dict(upgrade_state(type(self), state))
-        state.pop("_schema", None)
-        self.__dict__.clear()
-        self.__dict__.update(state)
-
-    __getstate__ = snapshot_state
-    __setstate__ = restore_state
 
     def __init__(
         self,

@@ -22,6 +22,7 @@ from repro.net.smrf import plan as smrf_plan
 from repro.net.topology import Topology
 from repro.sim.kernel import Simulator, ns_from_s
 from repro.sim.rng import RngRegistry
+from repro.snapshot.state import DeclaredState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.stack import NetworkStack
@@ -55,7 +56,7 @@ class NetworkStats:
     faults_delayed: int = 0
 
 
-class Network:
+class Network(DeclaredState):
     """A single µPnP network (one 48-bit prefix, one RPL instance)."""
 
     SNAPSHOT_SCHEMA = {
@@ -66,23 +67,6 @@ class Network:
                    "_groups", "_anycast", "topology", "dodag", "stats",
                    "_monitors", "_delivery_monitors", "_fault_injector"),
     }
-
-    # ------------------------------------------------------------ checkpoint
-    def snapshot_state(self) -> dict:
-        state = dict(self.__dict__)
-        state["_schema"] = self.SNAPSHOT_SCHEMA["version"]
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        from repro.snapshot.migrate import upgrade_state
-
-        state = dict(upgrade_state(type(self), state))
-        state.pop("_schema", None)
-        self.__dict__.clear()
-        self.__dict__.update(state)
-
-    __getstate__ = snapshot_state
-    __setstate__ = restore_state
 
     def __init__(
         self,

@@ -19,6 +19,7 @@ from repro.net.multicast import peripheral_group
 from repro.net.network import Network
 from repro.net.packets import UdpDatagram
 from repro.sim.kernel import ns_from_s
+from repro.snapshot.state import DeclaredState
 
 SocketHandler = Callable[[UdpDatagram], None]
 
@@ -38,7 +39,7 @@ class StackStats:
     dropped_down: int = 0
 
 
-class NetworkStack:
+class NetworkStack(DeclaredState):
     """One node's IPv6/UDP endpoint in a simulated µPnP network."""
 
     SNAPSHOT_SCHEMA = {
@@ -47,23 +48,6 @@ class NetworkStack:
         "fields": ("_network", "_node_id", "_iid", "_address", "_sockets",
                    "_groups", "_meter", "_down", "stats"),
     }
-
-    # ------------------------------------------------------------ checkpoint
-    def snapshot_state(self) -> dict:
-        state = dict(self.__dict__)
-        state["_schema"] = self.SNAPSHOT_SCHEMA["version"]
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        from repro.snapshot.migrate import upgrade_state
-
-        state = dict(upgrade_state(type(self), state))
-        state.pop("_schema", None)
-        self.__dict__.clear()
-        self.__dict__.update(state)
-
-    __getstate__ = snapshot_state
-    __setstate__ = restore_state
 
     def __init__(
         self,

@@ -34,6 +34,7 @@ from typing import Dict, List, Optional
 from repro.profile.config import ProfileConfig
 from repro.profile.vmheat import OpcodeHeatRecorder, merge_heat
 from repro.sim.stats import Histogram
+from repro.snapshot.state import DeclaredState
 
 #: Wall-cost histogram bounds: 100 ns .. 1 s, 8 buckets per decade.
 WALL_HIST_ARGS = (100.0, 1e9, 8)
@@ -74,7 +75,7 @@ def layer_for(name: str) -> str:
     return "kernel"
 
 
-class ShardProfiler:
+class ShardProfiler(DeclaredState):
     """Attach event/VM/idle collectors to one shard deployment."""
 
     #: Checkpoint contract (see :mod:`repro.snapshot.state`).
@@ -244,23 +245,6 @@ class ShardProfiler:
             "vm": vm,
             "fastforward": fastforward,
         }
-
-    # ------------------------------------------------------------ checkpoint
-    def snapshot_state(self) -> dict:
-        state = dict(self.__dict__)
-        state["_schema"] = self.SNAPSHOT_SCHEMA["version"]
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        from repro.snapshot.migrate import upgrade_state
-
-        state = dict(upgrade_state(type(self), state))
-        state.pop("_schema", None)
-        self.__dict__.clear()
-        self.__dict__.update(state)
-
-    __getstate__ = snapshot_state
-    __setstate__ = restore_state
 
 
 def _config_dict(config: ProfileConfig) -> dict:

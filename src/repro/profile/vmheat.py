@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dsl.bytecode import Op, operand_size
 from repro.dsl.types import wrap32
+from repro.snapshot.state import DeclaredState
 from repro.vm.machine import ExecutionResult, ReturnValue, VmTrap
 
 _OP_BY_VALUE = dict(Op._value2member_map_)
@@ -44,8 +45,14 @@ _CONTROL_OPS = frozenset((
 _BRANCH_OPS = frozenset((Op.JMP, Op.JMPS, Op.JZ, Op.JNZ, Op.JZS, Op.JNZS))
 
 
-class OpcodeHeatRecorder:
+class OpcodeHeatRecorder(DeclaredState):
     """Per-image hit arrays for one VM, mergeable by image digest."""
+
+    SNAPSHOT_SCHEMA = {
+        "layer": "profile",
+        "version": 1,
+        "fields": ("images", "executions"),
+    }
 
     def __init__(self) -> None:
         #: sha1(code) hex -> [code bytes, per-offset hit list].
@@ -53,7 +60,7 @@ class OpcodeHeatRecorder:
         #: Handler invocations recorded (both engines, traps included).
         self.executions = 0
         #: id(image) -> (image, hits); identity-guarded fast map, purely
-        #: derived — dropped from pickles and rebuilt lazily.
+        #: derived — never saved, and refilled lazily after a restore.
         self._by_id: Dict[int, tuple] = {}
 
     def hits_for(self, image) -> List[int]:
@@ -84,14 +91,8 @@ class OpcodeHeatRecorder:
             },
         }
 
-    # ------------------------------------------------------------- pickling
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_by_id", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
+    # ------------------------------------------------------------ checkpoint
+    def _rebuild_derived(self) -> None:
         self._by_id = {}
 
 

@@ -14,6 +14,8 @@ import heapq
 from time import perf_counter_ns
 from typing import Any, Callable, Iterable, Optional
 
+from repro.snapshot.state import DeclaredState
+
 NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
 NS_PER_S = 1_000_000_000
@@ -172,7 +174,7 @@ class PeriodicHandle:
             setattr(self, name, value)
 
 
-class Simulator:
+class Simulator(DeclaredState):
     """A single-threaded discrete-event simulator.
 
     >>> sim = Simulator()
@@ -185,7 +187,8 @@ class Simulator:
 
     #: Checkpoint contract (see :mod:`repro.snapshot.state`): bump
     #: ``version`` and register a migration whenever the restorable
-    #: attribute set changes shape.
+    #: attribute set changes shape.  ``_ff_cache`` and the observed
+    #: ``step``/``schedule_at`` shadows are derived, never saved.
     SNAPSHOT_SCHEMA = {
         "layer": "sim",
         "version": 5,
@@ -797,8 +800,11 @@ class Simulator:
     def _reshadow(self) -> None:
         """Bind the observed step/schedule_at pair while a tracer or a
         profiler is attached; otherwise leave the class methods."""
-        self.__dict__.pop("schedule_at", None)
-        self.__dict__.pop("step", None)
+        for name in ("schedule_at", "step"):
+            try:
+                delattr(self, name)
+            except AttributeError:  # not shadowed: the class method
+                pass
         if self.tracer is not None or self.profiler is not None:
             self.schedule_at = self._observed_schedule_at  # type: ignore[method-assign]
             self.step = self._observed_step  # type: ignore[method-assign]
@@ -890,33 +896,11 @@ class Simulator:
             return True
 
     # ------------------------------------------------------------ checkpoint
-    def snapshot_state(self) -> dict:
-        """Complete restorable kernel state (both heaps travel as-is:
-        ``(time_ns, seq, event)`` tuples keep their ordering keys, and
-        tombstoned events keep their ``cancelled`` flags)."""
-        state = dict(self.__dict__)
-        # The observed paths are bound methods shadowing the class
-        # ones on this instance; restore_state re-binds them, so the
-        # checkpoint never carries method objects.
-        state.pop("schedule_at", None)
-        state.pop("step", None)
-        state.pop("_ff_cache", None)
-        state["_schema"] = self.SNAPSHOT_SCHEMA["version"]
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        from repro.snapshot.migrate import upgrade_state
-
-        state = dict(upgrade_state(type(self), state))
-        state.pop("_schema", None)
-        self.__dict__.clear()
-        self.__dict__.update(state)
+    def _rebuild_derived(self) -> None:
+        # Both heaps travel as saved (ordering keys and tombstones
+        # intact); the shadows are re-bound as the attach_* calls do.
         self._ff_cache = None
-        # Re-shadow the observed paths exactly as the attach_* calls do.
         self._reshadow()
-
-    __getstate__ = snapshot_state
-    __setstate__ = restore_state
 
     # ----------------------------------------------------------------- extras
     def add_trace_hook(

@@ -12,12 +12,15 @@ round-trip the *entire* randomness tree via ``getstate``/``setstate``.
 No model may draw from an ad-hoc ``random.Random`` — randomness that
 is not in the registry silently escapes checkpoints.
 
-Note the registry deliberately does **not** alias these methods to
-``__getstate__``/``__setstate__``: inside a full shard checkpoint the
-registry pickles plainly (its ``__dict__`` of Random instances), so
-streams captured in closures stay *the same objects* as the registry's
-entries after restore.  The explicit methods are for targeted state
-transfer — tests, forked variants, partial restores.
+Note the registry deliberately does **not** route
+``__getstate__``/``__setstate__`` to these methods, unlike the layers
+built on :class:`repro.snapshot.state.DeclaredState`: inside a full
+shard checkpoint the registry pickles plainly (its attributes, whose
+stream dicts hold the Random instances themselves), so streams
+captured in closures stay *the same objects* as the registry's entries
+after restore.  The explicit methods are for targeted state transfer —
+tests, forked variants, partial restores — and rewind streams in
+place.
 """
 
 from __future__ import annotations

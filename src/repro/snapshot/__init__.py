@@ -16,8 +16,10 @@ The subsystem has four parts:
   carry the kernel's scheduled callbacks across a process or machine
   boundary while preserving shared-object identity;
 * :mod:`repro.snapshot.state` — the :class:`Checkpointable` protocol
-  (``snapshot_state()`` / ``restore_state()``), the per-layer schema
-  registry behind the manifest's schema hashes, and plain-data
+  (``snapshot_state()`` / ``restore_state()``), the
+  :class:`DeclaredState` base that saves exactly a layer's declared
+  fields, the per-layer schema registry behind the manifest's schema
+  hashes, and plain-data
   structural summaries used for diffing and post-restore audits;
 * :mod:`repro.snapshot.checkpoint` — the on-disk format: one directory
   per checkpoint holding ``manifest.json`` (format version, per-layer

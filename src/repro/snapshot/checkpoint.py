@@ -115,6 +115,11 @@ def save_shard(
 
     Safe at any instant: mid-run, mid-campaign, or after finalize.
     The deployment keeps running unaffected — saving only reads state.
+    Layers hand over their declared fields through ``getattr``
+    (:class:`~repro.snapshot.state.DeclaredState`), and summaries read
+    dataclass counters field by field, so no layer's attribute storage
+    is touched.  Plain objects in the graph (routers, drivers, stats)
+    still pickle by default, which reads their attribute dicts.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -161,22 +166,15 @@ def _save_shard_sim_v4(deployment, directory, *, label: str = "") -> Path:
         heap = sim._queue + sim._lane
         heapq.heapify(heap)
         sim._queue, sim._lane = heap, None
-    schema, getstate = Simulator.SNAPSHOT_SCHEMA, Simulator.__getstate__
-
-    def v4_state(self) -> dict:
-        state = getstate(self)
-        del state["_lane"]
-        return state
-
+    # The v4 declaration is what gets saved: every field but ``_lane``.
+    schema = Simulator.SNAPSHOT_SCHEMA
     Simulator.SNAPSHOT_SCHEMA = dict(
         schema, version=4,
         fields=tuple(f for f in schema["fields"] if f != "_lane"))
-    Simulator.__getstate__ = v4_state
     try:
         return save_shard(deployment, directory, label=label)
     finally:
         Simulator.SNAPSHOT_SCHEMA = schema
-        Simulator.__getstate__ = getstate
 
 
 @dataclass

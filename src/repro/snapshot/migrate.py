@@ -13,7 +13,9 @@ Two migration planes, mirroring Simics' checkpoint machinery:
 * **Layer (state) migrations** upgrade one Checkpointable class's state
   dict from an old ``_schema`` version.  Every ``restore_state``
   implementation routes its incoming state through
-  :func:`upgrade_state`, so an old checkpoint whose ``sim`` layer was
+  :func:`upgrade_state` (the shared one in
+  :class:`repro.snapshot.state.DeclaredState` included, before it
+  applies a single key), so an old checkpoint whose ``sim`` layer was
   written at schema v1 can still restore into a tree whose Simulator
   is at v5 — provided the 1→2, 2→3, 3→4 and 4→5 hooks exist.
 
@@ -106,8 +108,9 @@ def upgrade_manifest(manifest: dict, target_version: int) -> dict:
 def upgrade_state(cls, state: dict) -> dict:
     """Chain layer-state migrations up to *cls*'s current schema.
 
-    Called by every ``restore_state``; a state already at the current
-    version passes through untouched (the overwhelmingly common case).
+    Called by every ``restore_state`` implementation; a state already
+    at the current version passes through untouched (the
+    overwhelmingly common case).
     """
     current = int(cls.SNAPSHOT_SCHEMA["version"])
     version = int(state.get("_schema", 1))

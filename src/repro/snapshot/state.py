@@ -8,17 +8,22 @@
   whole graph with shared identity intact.  Anything derivable is
   *excluded* and rebuilt on restore — e.g. the fastpath VM's
   translation tables.
-* ``restore_state(state) -> None`` — applies a state dict, first
-  routing it through :func:`repro.snapshot.migrate.upgrade_state` so
-  old-schema states are upgraded (or cleanly rejected).
+* ``restore_state(state) -> None`` — applies a state dict.  Every
+  ``restore_state`` implementation routes it through
+  :func:`repro.snapshot.migrate.upgrade_state` first, so old-schema
+  states are upgraded (or cleanly rejected).
 
-Classes alias ``__getstate__``/``__setstate__`` to these methods, so
-the codec picks them up with no registry indirection, and standalone
-layer round-trips (``cls.__new__(cls).restore_state(s)``) work in
-tests.  Each class declares a ``SNAPSHOT_SCHEMA`` dict
+Each class declares a ``SNAPSHOT_SCHEMA`` dict
 (``layer``/``version``/``fields``) whose hash lands in every
 checkpoint manifest — a checkpoint written before a layer's state
-shape changed is detectable *before* unpickling.
+shape changed is detectable *before* unpickling.  Most layers inherit
+both methods from :class:`DeclaredState`, which saves exactly the
+declared ``fields`` (``getattr`` in, ``setattr`` out, derived state
+rebuilt by one class hook) and aliases ``__getstate__``/
+``__setstate__`` to them, so the codec needs no registry and
+``cls.__new__(cls).restore_state(s)`` works in tests.  It never reads
+or rewrites an instance's attribute dict: on CPython 3.11 that gives
+up the inline attribute storage and slows every later access.
 
 **Summaries.**  :func:`shard_summary` renders a live shard deployment
 into a plain-data tree (JSON-safe, deterministic): kernel heap
@@ -33,9 +38,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 from typing import Any, Dict, List, Optional, Protocol, runtime_checkable
 
 from repro.snapshot.codec import pack_stream
+from repro.snapshot.migrate import upgrade_state
 
 
 @runtime_checkable
@@ -49,6 +56,38 @@ class Checkpointable(Protocol):
 
     def restore_state(self, state: dict) -> None:  # pragma: no cover
         ...
+
+
+class DeclaredState:
+    """Checkpoint state that is exactly ``SNAPSHOT_SCHEMA["fields"]``.
+
+    A subclass declares its restorable attributes and nothing else:
+    the same tuple is hashed into the manifest and read here, so the
+    two cannot drift apart.  State left out of ``fields`` is derived
+    and is rebuilt by :meth:`_rebuild_derived` after every restore.
+    """
+
+    SNAPSHOT_SCHEMA: dict
+
+    def snapshot_state(self) -> dict:
+        schema = self.SNAPSHOT_SCHEMA
+        state = {name: getattr(self, name) for name in schema["fields"]}
+        state["_schema"] = schema["version"]
+        return state
+
+    def restore_state(self, state: dict) -> None:
+        # Every key is applied, as saved (or as migrated), including
+        # any a checkpoint carries beyond the current declaration.
+        for name, value in upgrade_state(type(self), state).items():
+            if name != "_schema":
+                setattr(self, name, value)
+        self._rebuild_derived()
+
+    def _rebuild_derived(self) -> None:
+        """Rebuild the state ``fields`` leaves out; none by default."""
+
+    __getstate__ = snapshot_state
+    __setstate__ = restore_state
 
 
 def schema_hash(cls) -> str:
@@ -65,9 +104,8 @@ def schema_hash(cls) -> str:
 def _checkpointable_classes() -> List[type]:
     """Every layer class participating in checkpoints.
 
-    Imported lazily: the layers must not depend on this module at
-    import time, and this module must not drag every layer in just to
-    define the protocol.
+    Imported lazily: the layers import :class:`DeclaredState` from
+    this module, so it must not import them at import time.
     """
     from repro.core.client import Client
     from repro.core.manager import Manager
@@ -76,6 +114,7 @@ def _checkpointable_classes() -> List[type]:
     from repro.net.network import Network
     from repro.net.stack import NetworkStack
     from repro.profile.collector import ShardProfiler
+    from repro.profile.vmheat import OpcodeHeatRecorder
     from repro.protocol.reliability import DuplicateCache, ReplyCache
     from repro.sim.kernel import Simulator
     from repro.sim.rng import RngRegistry
@@ -90,7 +129,7 @@ def _checkpointable_classes() -> List[type]:
         EnergyMeter,                            # hw
         Client, Manager, Thing,                 # core
         SeriesBank,                             # telemetry
-        ShardProfiler,                          # profile
+        ShardProfiler, OpcodeHeatRecorder,      # profile
     ]
 
 
@@ -194,7 +233,7 @@ def _endpoint_summary(endpoint) -> dict:
     pending = getattr(endpoint, "_pending", {})
     out = {
         "pending": sorted(repr(key) for key in pending),
-        "stack": dict(vars(endpoint.stack.stats)),
+        "stack": asdict(endpoint.stack.stats),
         "timer_scale": getattr(endpoint, "timer_scale", 1.0),
     }
     dups = getattr(endpoint, "_dups", None)
@@ -208,10 +247,10 @@ def _thing_summary(thing) -> dict:
         "label": thing.label,
         "pending_installs": thing.pending_installs(),
         "reply_cache_hits": thing.reply_cache_hits,
-        "stack": dict(vars(thing.stack.stats)),
+        "stack": asdict(thing.stack.stats),
         "router": {
             "queue_depth": thing.router.queue_depth,
-            "stats": dict(vars(thing.router.stats)),
+            "stats": asdict(thing.router.stats),
         },
         "energy": thing.meter.snapshot(),
         "channels": {
@@ -240,7 +279,7 @@ def shard_summary(deployment, *, legacy_rng: bool = False,
         "seed": deployment.scenario.seed,
         "sim": _sim_summary(deployment.sim),
         "metrics": deployment.metrics.snapshot(),
-        "net": dict(vars(deployment.network.stats)),
+        "net": asdict(deployment.network.stats),
         "client": _endpoint_summary(deployment.client),
         "manager": _endpoint_summary(deployment.manager),
         "things": [_thing_summary(thing) for thing in deployment.things],
@@ -281,6 +320,7 @@ __all__ = [
     "RNG_DIGEST_KEY",
     "RNG_DIGEST_SCHEME",
     "Checkpointable",
+    "DeclaredState",
     "layer_schemas",
     "schema_hash",
     "shard_summary",

@@ -28,6 +28,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
+from repro.snapshot.state import DeclaredState
+
 #: Legal series kinds, in OpenMetrics terms.
 SERIES_KINDS = ("counter", "gauge")
 
@@ -128,7 +130,7 @@ class TimeSeries:
         return out
 
 
-class SeriesBank:
+class SeriesBank(DeclaredState):
     """A registry of named series; one per shard while collecting."""
 
     SNAPSHOT_SCHEMA = {
@@ -140,23 +142,6 @@ class SeriesBank:
     def __init__(self, *, capacity: int = 4096) -> None:
         self._capacity = capacity
         self._series: Dict[Tuple, TimeSeries] = {}
-
-    # ------------------------------------------------------------ checkpoint
-    def snapshot_state(self) -> dict:
-        state = dict(self.__dict__)
-        state["_schema"] = self.SNAPSHOT_SCHEMA["version"]
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        from repro.snapshot.migrate import upgrade_state
-
-        state = dict(upgrade_state(type(self), state))
-        state.pop("_schema", None)
-        self.__dict__.clear()
-        self.__dict__.update(state)
-
-    __getstate__ = snapshot_state
-    __setstate__ = restore_state
 
     def series(
         self,

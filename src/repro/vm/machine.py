@@ -21,6 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.dsl.bytecode import DriverImage, HandlerDef, Op, decode, operand_size
 from repro.dsl.types import wrap32
+from repro.snapshot.state import DeclaredState
 from repro.vm.cost import DEFAULT_COST, VmCostProfile
 
 #: Pre-computed operand widths so the reference loop can reject truncated
@@ -151,7 +152,7 @@ def _cmod(a: int, b: int) -> int:
     return a - _cdiv(a, b) * b
 
 
-class VirtualMachine:
+class VirtualMachine(DeclaredState):
     """Interprets driver bytecode with a bounded operand stack.
 
     Two interchangeable execution engines share one semantics:
@@ -167,8 +168,11 @@ class VirtualMachine:
     for whole-process runs (fleet workers inherit it).
     """
 
-    #: Checkpoint contract: the id-keyed translation map is derived
-    #: state and is rebuilt lazily after restore, never serialized.
+    #: Checkpoint contract: configuration and engine choice only.  The
+    #: id-keyed translation map (meaningless in a new process) and the
+    #: engine loop are derived, rebuilt after restore and never saved,
+    #: so checkpoints stay engine-portable and never go stale against
+    #: the shared translation cache.
     #: v2 added the optional ``_hit_recorder`` (opcode heat profiling);
     #: v4 dropped mode "trace" (v3 states migrate it to "fast").
     SNAPSHOT_SCHEMA = {
@@ -246,32 +250,9 @@ class VirtualMachine:
         self._bind_engine()
 
     # ------------------------------------------------------------ checkpoint
-    def snapshot_state(self) -> dict:
-        """Restorable VM state: configuration and engine choice only.
-
-        ``_translations`` is an ``id()``-keyed cache — meaningless in a
-        new process — and ``_execute_fast`` is a module function both of
-        which restore_state rebuilds, so checkpoints stay engine-portable
-        and never go stale against the shared translation cache.
-        """
-        state = dict(self.__dict__)
-        state.pop("_translations", None)
-        state.pop("_execute_fast", None)
-        state["_schema"] = self.SNAPSHOT_SCHEMA["version"]
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        from repro.snapshot.migrate import upgrade_state
-
-        state = dict(upgrade_state(type(self), state))
-        state.pop("_schema", None)
-        self.__dict__.clear()
-        self.__dict__.update(state)
+    def _rebuild_derived(self) -> None:
         self._translations = {}
         self._bind_engine()
-
-    __getstate__ = snapshot_state
-    __setstate__ = restore_state
 
     def execute(
         self,

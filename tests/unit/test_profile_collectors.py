@@ -80,9 +80,10 @@ def test_profiler_counts_events_and_attributes_sim_gaps():
 
 def test_attach_shadows_and_detach_restores_the_kernel_hot_paths():
     sim, profiler = _profiled()
-    assert "step" in sim.__dict__ and "schedule_at" in sim.__dict__
+    assert sim.step.__func__ is Simulator._observed_step
+    assert sim.schedule_at.__func__ is Simulator._observed_schedule_at
     profiler.detach()
-    assert "step" not in sim.__dict__
+    assert sim.step.__func__ is Simulator.step
     assert sim.profiler is None
     # Data recorded before detach stays readable.
     assert profiler.snapshot()["shard"] == 0
@@ -106,13 +107,13 @@ def test_tracer_and_profiler_compose_on_one_observed_pair(first):
         sim.run()
 
     def bound():
-        return ("step" in sim.__dict__, "schedule_at" in sim.__dict__)
+        return (sim.step.__func__ is Simulator._observed_step,
+                sim.schedule_at.__func__ is Simulator._observed_schedule_at)
 
     burst()
     assert seen == [1]
     assert profiler.snapshot()["events"]["leaf"]["count"] == 1
-    assert sim.__dict__["step"] == sim._observed_step
-    assert sim.__dict__["schedule_at"] == sim._observed_schedule_at
+    assert bound() == (True, True)
 
     if first == "tracer":
         sim.detach_tracer()
@@ -147,8 +148,8 @@ def test_checkpoint_restore_rebinds_the_observed_pair():
     clone, clone_profiler, clone_tracer = loads_state(
         dumps_state((sim, profiler, tracer)))
     assert "step" not in sim.snapshot_state()
-    assert clone.__dict__["step"] == clone._observed_step
-    assert clone.__dict__["schedule_at"] == clone._observed_schedule_at
+    assert clone.step.__func__ is Simulator._observed_step
+    assert clone.schedule_at.__func__ is Simulator._observed_schedule_at
     assert clone.tracer is clone_tracer
     assert clone.profiler is clone_profiler
     seen = []

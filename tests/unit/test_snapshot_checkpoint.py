@@ -1,8 +1,10 @@
 """Unit tests for checkpoint manifests, migrations, diff and fork."""
 
 import hashlib
+import io
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,6 +12,7 @@ from repro.analysis.vmperf import _encode, _i, _image_for
 from repro.dsl.bytecode import Op
 from repro.fleet.deployment import ShardDeployment
 from repro.fleet.scenario import SCENARIOS
+from repro.profile.config import ProfileConfig
 from repro.sim.kernel import Simulator, ns_from_ms, ns_from_s
 from repro.sim.rng import RngRegistry
 from repro.snapshot.checkpoint import (
@@ -26,11 +29,17 @@ from repro.snapshot.checkpoint import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from repro.snapshot.codec import dumps_state, loads_state, pack_stream
+from repro.snapshot.codec import (
+    SnapshotPickler,
+    dumps_state,
+    loads_state,
+    pack_stream,
+)
 from repro.snapshot.diff import diff_documents, diff_lines, flatten
 from repro.snapshot.migrate import register_state_migration, upgrade_state
 from repro.snapshot.state import (
     RNG_DIGEST_KEY,
+    DeclaredState,
     _digest,
     _legacy_rng_state_digest,
     _rng_state_digest,
@@ -39,6 +48,7 @@ from repro.snapshot.state import (
     schema_hash,
     shard_summary,
 )
+from repro.telemetry.config import TelemetryConfig
 from repro.vm import fastpath
 from repro.vm.machine import DriverInstance, VirtualMachine
 
@@ -311,7 +321,7 @@ def test_v3_states_with_removed_tiers_restore_and_run():
     state["_schema"] = 3
     state["_batch_names"] = {"sensor-sample": 0}
     sim.restore_state(state)
-    assert "_batch_names" not in sim.__dict__
+    assert not hasattr(sim, "_batch_names")
     assert sim.run_until(ns_from_ms(3)) == 3
     assert fired == [ns_from_ms(1), ns_from_ms(2), ns_from_ms(3)]
 
@@ -487,3 +497,57 @@ def test_perturb_is_deterministic_and_divergent():
     assert one.fork("kid").stream("b").random() == \
         two.fork("kid").stream("b").random()
     assert one.stream("a").random() != three.stream("a").random()
+
+
+# ------------------------------------------------------ declared fields
+#: Small shards whose graphs hold every DeclaredState class.
+_DRIFT_SCENARIOS = {
+    "smoke-observed": SCENARIOS["smoke"].scaled(
+        things=3, shard_size=3, trace=True, profile=ProfileConfig(),
+        telemetry=TelemetryConfig(cadence_s=0.5)),
+    "duty-ff": SCENARIOS["duty"].scaled(
+        things=3, shard_size=3, fast_forward=True),
+    "gateway": SCENARIOS["gateway"].scaled(things=3, shard_size=3),
+}
+
+
+def _declared_objects(graph):
+    """Every DeclaredState object the codec reaches from *graph*."""
+    found = []
+
+    class Collector(SnapshotPickler):
+        def reducer_override(self, obj):
+            if isinstance(obj, DeclaredState):
+                found.append(obj)
+            return super().reducer_override(obj)
+
+    Collector(io.BytesIO(), protocol=5).dump(graph)
+    return found
+
+
+def _attribute_names(objects):
+    return Counter((type(obj).__name__, tuple(sorted(vars(obj))))
+                   for obj in objects)
+
+
+@pytest.mark.parametrize("name", sorted(_DRIFT_SCENARIOS))
+def test_declared_fields_are_exactly_the_saved_state(name):
+    # A restored object must come back with the attributes it was saved
+    # with, and only the declared fields carry them there: an attribute
+    # that __init__ sets but ``fields`` omits would vanish here.
+    deployment = ShardDeployment(_DRIFT_SCENARIOS[name].shards()[0])
+    deployment.start()
+    deployment.sim.run_until(ns_from_s(1.5))
+    objects = _declared_objects(deployment)
+    classes = {type(obj).__name__ for obj in objects}
+    assert {"Simulator", "VirtualMachine", "Network", "NetworkStack",
+            "Client", "Manager", "Thing"} <= classes
+    if name == "smoke-observed":
+        assert {"SeriesBank", "ShardProfiler",
+                "OpcodeHeatRecorder"} <= classes
+    for obj in objects:
+        assert set(obj.snapshot_state()) == \
+            {*type(obj).SNAPSHOT_SCHEMA["fields"], "_schema"}
+    clone = loads_state(dumps_state(deployment))
+    assert _attribute_names(_declared_objects(clone)) == \
+        _attribute_names(objects)
