@@ -20,17 +20,23 @@ holds.  The exit status is 1 when any gate fails.
 Baseline arms that stand for "the code without the guarded lines" are
 built from the live source by :func:`strip`, which asserts that every
 line it removes is still there, so an edit to a guarded method fails
-loudly instead of comparing against a stale copy.
+loudly instead of comparing against a stale copy.  A table of guarded
+lines is keyed by ``(owner, name)``: a class and its method, or a
+module and its function.
 
 ==============  =====  ================================================
 gate            bound  measured arm vs baseline arm
 ==============  =====  ================================================
 obs             2%     fleet smoke, tracing off, vs the per-event
-                       ``sim.tracer`` guards stripped
+                       ``sim.tracer`` guards stripped (the kernel's
+                       ``step``/``schedule_at`` observer guard too)
 telemetry       3%     fleet smoke, telemetry off, vs the payload-byte
                        and VM-cycle counters stripped
 profile         3%     fleet smoke on the reference VM engine,
                        profiling off, vs the hit-recorder lines stripped
+profile-fast    3%     fleet smoke on the fast VM engine, profiling
+                       off, vs ``execute_fast``'s hit-recorder lines
+                       stripped
 gateway-obs     3%     bridged property reads, request observability
                        on vs off
 reliability     10%    lossless metro fleet, reliability layer on vs off
@@ -67,6 +73,8 @@ from repro.gateway.bridge import Op as GatewayOp  # noqa: E402
 from repro.gateway.obs import GatewayObsConfig  # noqa: E402
 from repro.net.network import Network  # noqa: E402
 from repro.net.stack import NetworkStack  # noqa: E402
+from repro.sim.kernel import Simulator  # noqa: E402
+from repro.vm import fastpath  # noqa: E402
 from repro.vm.machine import DriverInstance, VirtualMachine  # noqa: E402
 from repro.vm.router import EventRouter  # noqa: E402
 
@@ -84,6 +92,12 @@ METRO = SCENARIOS["metro"].scaled(things=20, duration_s=10.0, seed=1)
 
 #: Per-event methods and the tracer guards they carry.
 TRACER_GUARDS = {
+    (Simulator, "step"): (
+        "if self.tracer is not None or self.profiler is not None:",
+    ),
+    (Simulator, "schedule_at"): (
+        "if self.tracer is not None or self.profiler is not None:",
+    ),
     (EventRouter, "post"): (
         "tracer = self._sim.tracer",
         "if tracer is not None and tracer.current is not None:",
@@ -150,6 +164,16 @@ RECORDER_LINES = {
     ),
 }
 
+#: The fast engine's opcode-heat recording.
+FAST_RECORDER_LINES = {
+    (fastpath, "execute_fast"): (
+        "recorder = vm._hit_recorder",
+        "hits = None",
+        "if recorder is not None:",
+        "if hits is not None:",
+    ),
+}
+
 
 # ------------------------------------------------------------ baselines
 def strip(func, lines):
@@ -182,19 +206,20 @@ def strip(func, lines):
 
 
 def stripped(table, work):
-    """*work* run with each method of *table* stripped of its lines."""
-    patches = [(cls, name, strip(getattr(cls, name), lines))
-               for (cls, name), lines in table.items()]
+    """*work* run with each function of *table* stripped of its lines."""
+    patches = [(owner, name, strip(getattr(owner, name), lines))
+               for (owner, name), lines in table.items()]
 
     def arm():
-        saved = [(cls, name, vars(cls)[name]) for cls, name, _ in patches]
-        for cls, name, func in patches:
-            setattr(cls, name, func)
+        saved = [(owner, name, vars(owner)[name])
+                 for owner, name, _ in patches]
+        for owner, name, func in patches:
+            setattr(owner, name, func)
         try:
             work()
         finally:
-            for cls, name, func in saved:
-                setattr(cls, name, func)
+            for owner, name, func in saved:
+                setattr(owner, name, func)
     return arm
 
 
@@ -236,6 +261,12 @@ def telemetry_gate():
 def profile_gate():
     smoke = fleet(SMOKE, "reference")
     yield stripped(RECORDER_LINES, smoke), smoke
+
+
+@contextmanager
+def profile_fast_gate():
+    smoke = fleet(SMOKE, "fast")
+    yield stripped(FAST_RECORDER_LINES, smoke), smoke
 
 
 @contextmanager
@@ -332,6 +363,7 @@ GATES = {
     "obs": (0.02, obs_gate),
     "telemetry": (0.03, telemetry_gate),
     "profile": (0.03, profile_gate),
+    "profile-fast": (0.03, profile_fast_gate),
     "gateway-obs": (0.03, gateway_obs_gate),
     "reliability": (0.10, reliability_gate),
     **{f"vm-{name}": (0.0, vm_handler_gate(name)) for name in HANDLERS},

@@ -122,7 +122,7 @@ class ShardDeployment:
             self.telemetry = ShardTelemetry(self, self.scenario.telemetry)
 
         #: Cross-layer profiler, present only when the scenario asks —
-        #: same zero-cost-when-absent contract as tracer/telemetry.
+        #: absent, it leaves only the kernel's and VMs' observer guards.
         self.profiler = None
         if self.scenario.profile is not None:
             from repro.profile.collector import ShardProfiler

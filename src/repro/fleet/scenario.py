@@ -112,8 +112,8 @@ class FleetScenario:
     #: mode costs zero on the hot paths.
     telemetry: Optional[TelemetryConfig] = None
     #: Profile every shard (:mod:`repro.profile`): per-event cost,
-    #: opcode heat, idle-gap analysis.  Same zero-cost-when-``None``
-    #: contract as ``trace`` and ``telemetry``.
+    #: opcode heat, idle-gap analysis.  ``None`` attaches nothing: the
+    #: hot paths keep only their observer guards, as with ``trace``.
     profile: Optional[ProfileConfig] = None
     #: Duty-cycled sampling load (:mod:`repro.fleet.sampling`): periodic
     #: per-Thing sensor reads and baseline energy accrual.  These events

@@ -298,10 +298,10 @@ def install_tracer(
     trace_id_base: int = 0,
     label: str = "",
 ) -> Tracer:
-    """Create a tracer and attach it (binds the observed kernel paths)."""
+    """Create a tracer and attach it to *sim*."""
     tracer = Tracer(sim, limit=limit, categories=categories,
                     trace_id_base=trace_id_base, label=label)
-    sim.attach_tracer(tracer)
+    sim.tracer = tracer
     return tracer
 
 

@@ -2,16 +2,17 @@
 
 Attributes host wall-clock and simulated-time cost across the layers of
 a µPnP fleet simulation — kernel events, VM opcodes, protocol timers —
-with the same zero-cost-when-disabled discipline as :mod:`repro.obs`
-and :mod:`repro.telemetry`: a scenario without a
-:class:`~repro.profile.config.ProfileConfig` leaves every hot path
-untouched.
+with the same discipline as :mod:`repro.obs` and
+:mod:`repro.telemetry`: a scenario without a
+:class:`~repro.profile.config.ProfileConfig` pays one attribute guard
+per kernel event and per VM step, and nothing more (the overhead gates
+in ``benchmarks/overhead.py`` bound that guard).
 
 Three collectors (see :class:`~repro.profile.collector.ShardProfiler`):
 
 * **events** — per-event-kind wall-ns / sim-ns with mergeable
-  histograms, hooked into the kernel's observed ``step`` (the one
-  attach-time pair it shares with the tracer);
+  histograms, hooked into the kernel's ``step`` behind the one
+  observer guard it shares with the tracer;
 * **vm** — opcode and basic-block heat over every Thing's VM, layered
   on the fastpath translation cache;
 * **idle** — inter-event gap histograms plus a periodicity classifier

@@ -2,11 +2,10 @@
 
 One :class:`ShardProfiler` serves one
 :class:`~repro.fleet.deployment.ShardDeployment`.  It attaches to the
-kernel through :meth:`Simulator.attach_profiler`, which binds the same
-observed ``step``/``schedule_at`` pair as ``attach_tracer``, so a
-simulator without an observer keeps running the branch-free original
-paths and disabled-mode overhead is exactly zero —
-and to every Thing's VM through an
+kernel by assigning ``Simulator.profiler``, which shares the tracer's
+one guard in the kernel's ``step``/``schedule_at`` (a simulator with
+neither pays that attribute check per event and nothing more), and to
+every Thing's VM through an
 :class:`~repro.profile.vmheat.OpcodeHeatRecorder`.
 
 Collected data lives on two planes:
@@ -111,7 +110,7 @@ class ShardProfiler(DeclaredState):
         self._ff: Dict[str, list] = {}
         #: (node label, OpcodeHeatRecorder) per Thing, attach order.
         self._recorders: List[tuple] = []
-        deployment.sim.attach_profiler(self)
+        deployment.sim.profiler = self
         if config.vm:
             for thing in deployment.things:
                 recorder = OpcodeHeatRecorder()
@@ -121,7 +120,7 @@ class ShardProfiler(DeclaredState):
     # ------------------------------------------------------------ kernel hook
     def on_event(self, name: str, prev_ns: int, time_ns: int,
                  wall_ns: int) -> None:
-        """One kernel event just ran (called from the observed step).
+        """One kernel event just ran (called from the kernel's step).
 
         *prev_ns* (the kernel clock before the event) is ignored for
         gap purposes — see ``_last_event_ns``.
@@ -180,7 +179,7 @@ class ShardProfiler(DeclaredState):
     # --------------------------------------------------------------- control
     def detach(self) -> None:
         """Detach every collector (the profile data stays readable)."""
-        self.deployment.sim.detach_profiler()
+        self.deployment.sim.profiler = None
         if self.config.vm:
             for thing in self.deployment.things:
                 thing.drivers.vm.detach_hit_recorder()

@@ -140,7 +140,7 @@ class ProtocolTracer:
         self._closed = True
         self._tracer.remove_listener(self._on_event)
         if self._installed and self._network.sim.tracer is self._tracer:
-            self._network.sim.detach_tracer()
+            self._network.sim.tracer = None
         elif self._enabled_proto:
             self._tracer.disable_category("proto")
 

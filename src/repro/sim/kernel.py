@@ -59,9 +59,8 @@ class _ScheduledEvent:
         self.popped = False
         self.ff = None
         # ``trace_id`` is declared in __slots__ but deliberately left
-        # unassigned: the observed scheduling path (attach_tracer) sets it,
-        # and untraced simulations pay nothing for it — hasattr() stays
-        # False exactly as with the previous dynamic attribute.
+        # unassigned: only Simulator._observe_schedule sets it (while a
+        # tracer is attached), so untraced simulations never write it.
         # ``ff`` defaults to None and is set only on events owned by a
         # fast-forward-certified PeriodicHandle, where it points back at
         # the handle so run_until can recognise analytically skippable
@@ -187,8 +186,8 @@ class Simulator(DeclaredState):
 
     #: Checkpoint contract (see :mod:`repro.snapshot.state`): bump
     #: ``version`` and register a migration whenever the restorable
-    #: attribute set changes shape.  ``_ff_cache`` and the observed
-    #: ``step``/``schedule_at`` shadows are derived, never saved.
+    #: attribute set changes shape.  ``_ff_cache`` is derived, never
+    #: saved.
     SNAPSHOT_SCHEMA = {
         "layer": "sim",
         "version": 5,
@@ -240,15 +239,14 @@ class Simulator(DeclaredState):
         #: Fast-forward statistics (windows applied / events skipped).
         self.ff_windows = 0
         self.ff_events = 0
-        #: Optional :class:`repro.obs.Tracer`.  None (the default)
-        #: keeps every instrumentation point in the stack down to a
-        #: single attribute check; the kernel's own hot paths carry no
-        #: observer branches at all until :meth:`attach_tracer` binds
-        #: the observed pair.
+        #: Optional :class:`repro.obs.Tracer`, attached and detached by
+        #: plain assignment.  None (the default) keeps every
+        #: instrumentation point in the stack, the kernel's
+        #: ``step``/``schedule_at`` included, down to one attribute
+        #: check.
         self.tracer = None
-        #: Optional :class:`repro.profile.ShardProfiler`.  Binds the
-        #: same observed pair as ``tracer``: a simulator with neither
-        #: runs the branch-free original paths.
+        #: Optional :class:`repro.profile.ShardProfiler`, assigned the
+        #: same way; it shares the tracer's guard in the kernel.
         self.profiler = None
 
     # ------------------------------------------------------------------ time
@@ -290,13 +288,19 @@ class Simulator(DeclaredState):
         *,
         name: str = "",
     ) -> EventHandle:
-        """Schedule *callback* at absolute simulation time ``time_ns``."""
+        """Schedule *callback* at absolute simulation time ``time_ns``.
+
+        While a tracer or a profiler is attached, the event is also
+        reported to it (:meth:`_observe_schedule`).
+        """
         time_ns = int(time_ns)
         if time_ns < self._now_ns:
             raise SimulationError(
                 f"cannot schedule in the past: {time_ns} < {self._now_ns}"
             )
         event = _ScheduledEvent(time_ns, self._seq, callback, name)
+        if self.tracer is not None or self.profiler is not None:
+            self._observe_schedule(event, time_ns - self._now_ns)
         heapq.heappush(self._queue, (time_ns, self._seq, event))
         self._seq += 1
         return EventHandle(event, self)
@@ -376,6 +380,9 @@ class Simulator(DeclaredState):
             if event.cancelled:
                 self._tombstones -= 1
                 continue
+            if self.tracer is not None or self.profiler is not None:
+                self._run_observed(event, time_ns)
+                return True
             self._now_ns = time_ns
             for hook in self._trace_hooks:
                 hook(time_ns, event.name)
@@ -453,16 +460,17 @@ class Simulator(DeclaredState):
                     continue
                 # Declined; its grouping may have rebuilt the lane.
                 self.step()
-            elif self.tracer is not None or self.profiler is not None:
-                self.step()  # the observed step (see _reshadow)
             else:
                 # :meth:`step`, with the head this loop already chose.
                 heapq.heappop(heap)
                 head.popped = True
-                self._now_ns = head_time
-                for hook in self._trace_hooks:
-                    hook(head_time, head.name)
-                head.callback()
+                if self.tracer is not None or self.profiler is not None:
+                    self._run_observed(head, head_time)
+                else:
+                    self._now_ns = head_time
+                    for hook in self._trace_hooks:
+                        hook(head_time, head.name)
+                    head.callback()
             count += 1
             if max_events is not None and count >= max_events:
                 return count
@@ -751,39 +759,6 @@ class Simulator(DeclaredState):
         return self.run_until(self._now_ns + int(duration_ns), max_events=max_events)
 
     # ------------------------------------------------------------ observers
-    def attach_tracer(self, tracer) -> None:
-        """Attach a :class:`repro.obs.Tracer`; swaps in the observed paths.
-
-        The observed :meth:`step` / :meth:`schedule_at` pair shadows the
-        class methods on this instance only, so every simulator without
-        an observer keeps running the branch-free originals —
-        disabled-mode tracing overhead in the kernel is exactly zero.
-        """
-        self.tracer = tracer
-        self._reshadow()
-
-    def detach_tracer(self) -> None:
-        """Remove the tracer; the observed pair stays bound while a
-        profiler is still attached."""
-        self.tracer = None
-        self._reshadow()
-
-    def attach_profiler(self, profiler) -> None:
-        """Attach a :class:`repro.profile.ShardProfiler`.
-
-        Binds the same observed pair as :meth:`attach_tracer`, so
-        profiling and tracing compose on one pair and disabled-mode
-        profiling overhead in the kernel is exactly zero.
-        """
-        self.profiler = profiler
-        self._reshadow()
-
-    def detach_profiler(self) -> None:
-        """Remove the profiler; the observed pair stays bound while a
-        tracer is still attached."""
-        self.profiler = None
-        self._reshadow()
-
     @property
     def needs_per_event(self) -> bool:
         """True while some observer needs every event stepped one by one.
@@ -797,51 +772,17 @@ class Simulator(DeclaredState):
         return self.tracer is not None or any(
             b is None for b in self._bulk_hooks)
 
-    def _reshadow(self) -> None:
-        """Bind the observed step/schedule_at pair while a tracer or a
-        profiler is attached; otherwise leave the class methods."""
-        for name in ("schedule_at", "step"):
-            try:
-                delattr(self, name)
-            except AttributeError:  # not shadowed: the class method
-                pass
-        if self.tracer is not None or self.profiler is not None:
-            self.schedule_at = self._observed_schedule_at  # type: ignore[method-assign]
-            self.step = self._observed_step  # type: ignore[method-assign]
-
-    def _observed_schedule_at(
-        self,
-        time_ns: int,
-        callback: Callable[[], None],
-        *,
-        name: str = "",
-    ) -> EventHandle:
-        """:meth:`schedule_at`, plus causal-context capture and
-        schedule-delay capture.
-
-        The tracer's *current* trace id (if any) is stamped onto the
-        event, so causality follows every split-phase hop — stack CPU
-        delays, radio frames, router dispatches, bus completions —
-        with no per-layer plumbing.  The profiler records every named
-        event's distinct scheduling delays — the signature its idle-gap
-        analyzer uses to classify periodic (analytically
-        fast-forwardable) work offline.
-        """
-        time_ns = int(time_ns)
-        if time_ns < self._now_ns:
-            raise SimulationError(
-                f"cannot schedule in the past: {time_ns} < {self._now_ns}"
-            )
-        event = _ScheduledEvent(time_ns, self._seq, callback, name)
-        self._observe_schedule(event, time_ns - self._now_ns)
-        heapq.heappush(self._queue, (time_ns, self._seq, event))
-        self._seq += 1
-        return EventHandle(event, self)
-
     def _observe_schedule(self, event: _ScheduledEvent,
                           delay_ns: int) -> None:
         """Stamp the tracer's current trace id on *event* and report
-        its delay to the profiler (both heaps' pushes)."""
+        its delay to the profiler (both heaps' pushes).
+
+        The stamp makes causality follow every split-phase hop — stack
+        CPU delays, radio frames, router dispatches, bus completions —
+        with no per-layer plumbing.  The profiler keeps every named
+        event's distinct scheduling delays, the signature its idle-gap
+        analyzer uses to classify periodic work offline.
+        """
         tracer = self.tracer
         if tracer is not None and tracer.current is not None:
             event.trace_id = tracer.current
@@ -849,58 +790,44 @@ class Simulator(DeclaredState):
         if profiler is not None and event.name:
             profiler.on_schedule(event.name, delay_ns)
 
-    def _observed_step(self) -> bool:
-        """:meth:`step`, plus causal-context restore around callbacks and
-        wall-clock and sim-gap attribution.
+    def _run_observed(self, event: _ScheduledEvent, time_ns: int) -> None:
+        """Run a popped live *event* as :meth:`step` does, for a tracer
+        or a profiler.
 
         With a tracer attached, the event's stamped trace id is current
-        while its callback runs.  With a profiler attached, each event's
+        while its callback runs.  With a profiler attached, the event's
         host cost (``perf_counter_ns`` around the callback) and the
         simulated-time gap it closed are reported keyed by event name.
         """
-        while True:
-            queue = self._queue
-            lane = self._lane
-            heap = lane if lane and (not queue or lane[0] < queue[0]) \
-                else queue
-            if not heap:
-                return False
-            time_ns, _, event = heapq.heappop(heap)
-            event.popped = True
-            if event.cancelled:
-                self._tombstones -= 1
-                continue
-            prev_ns = self._now_ns
-            self._now_ns = time_ns
-            for hook in self._trace_hooks:
-                hook(time_ns, event.name)
-            tracer = self.tracer
-            profiler = self.profiler
-            if profiler is not None:
-                started = perf_counter_ns()
-            if tracer is None:
+        prev_ns = self._now_ns
+        self._now_ns = time_ns
+        for hook in self._trace_hooks:
+            hook(time_ns, event.name)
+        tracer = self.tracer
+        profiler = self.profiler
+        if profiler is not None:
+            started = perf_counter_ns()
+        if tracer is None:
+            event.callback()
+        else:
+            trace_id = getattr(event, "trace_id", None)
+            tracer.current = trace_id
+            if event.name and tracer.enabled_for("kernel"):
+                tracer.instant(event.name, "kernel", trace_id=trace_id)
+            try:
                 event.callback()
-            else:
-                trace_id = getattr(event, "trace_id", None)
-                tracer.current = trace_id
-                if event.name and tracer.enabled_for("kernel"):
-                    tracer.instant(event.name, "kernel", trace_id=trace_id)
-                try:
-                    event.callback()
-                finally:
-                    tracer.current = None
-            if profiler is not None:
-                profiler.on_event(
-                    event.name, prev_ns, time_ns, perf_counter_ns() - started
-                )
-            return True
+            finally:
+                tracer.current = None
+        if profiler is not None:
+            profiler.on_event(
+                event.name, prev_ns, time_ns, perf_counter_ns() - started
+            )
 
     # ------------------------------------------------------------ checkpoint
     def _rebuild_derived(self) -> None:
         # Both heaps travel as saved (ordering keys and tombstones
-        # intact); the shadows are re-bound as the attach_* calls do.
+        # intact).
         self._ff_cache = None
-        self._reshadow()
 
     # ----------------------------------------------------------------- extras
     def add_trace_hook(

@@ -334,7 +334,14 @@ def execute_fast(
     signal_sink,
     return_sink,
 ) -> ExecutionResult:
-    """Threaded-dispatch execution; drop-in for the reference ``execute``."""
+    """Threaded-dispatch execution; drop-in for the reference ``execute``.
+
+    With a hit recorder attached to *vm*, each step also counts its pc
+    into the recorder's hit array for the image, at the point the
+    reference interpreter counts it: after the step-limit check,
+    before dispatch.  The differential suite compares the two engines'
+    hit arrays.
+    """
     image = instance.image
     cached = vm._translations.get(id(image))
     if cached is not None and cached[0] is image:
@@ -342,6 +349,11 @@ def execute_fast(
     else:
         translation = shared_translation(image, vm._profile)
         vm._translations[id(image)] = (image, translation)
+    recorder = vm._hit_recorder
+    hits = None
+    if recorder is not None:
+        recorder.executions += 1
+        hits = recorder.hits_for(image)
 
     table = translation.table
     n = translation.n
@@ -361,6 +373,8 @@ def execute_fast(
         steps += 1
         if steps > step_limit:
             raise VmTrap("step limit exceeded (runaway handler)")
+        if hits is not None:
+            hits[pc] += 1
         e = table[pc]
         k = e[0]
         cycles += e[1]

@@ -169,10 +169,10 @@ class VirtualMachine(DeclaredState):
     """
 
     #: Checkpoint contract: configuration and engine choice only.  The
-    #: id-keyed translation map (meaningless in a new process) and the
-    #: engine loop are derived, rebuilt after restore and never saved,
-    #: so checkpoints stay engine-portable and never go stale against
-    #: the shared translation cache.
+    #: id-keyed translation map is meaningless in a new process, so it
+    #: is derived, rebuilt after restore and never saved; checkpoints
+    #: stay engine-portable and never go stale against the shared
+    #: translation cache.
     #: v2 added the optional ``_hit_recorder`` (opcode heat profiling);
     #: v4 dropped mode "trace" (v3 states migrate it to "fast").
     SNAPSHOT_SCHEMA = {
@@ -199,28 +199,12 @@ class VirtualMachine(DeclaredState):
         self._step_limit = step_limit
         self._mode = mode
         #: Optional :class:`repro.profile.vmheat.OpcodeHeatRecorder`.
-        #: None (the default) keeps both engines recorder-free: the
-        #: reference loop skips its counting lines and the fast engine
-        #: stays the uninstrumented :func:`fastpath.execute_fast`.
+        #: Both engines check it once per invocation; None (the
+        #: default) leaves one skipped guard per step.
         self._hit_recorder = None
         #: id(image) -> (image, Translation); identity-guarded fast map
         #: in front of the module-level shared translation cache.
         self._translations: Dict[int, tuple] = {}
-        self._bind_engine()
-
-    def _bind_engine(self) -> None:
-        """Select the fast engine's loop: the counting copy while a hit
-        recorder is attached, the plain threaded loop otherwise."""
-        if self._mode == "reference":
-            return
-        if self._hit_recorder is not None:
-            from repro.profile.vmheat import execute_fast_counting
-
-            self._execute_fast = execute_fast_counting
-        else:
-            from repro.vm import fastpath
-
-            self._execute_fast = fastpath.execute_fast
 
     @property
     def profile(self) -> VmCostProfile:
@@ -234,25 +218,20 @@ class VirtualMachine(DeclaredState):
     def attach_hit_recorder(self, recorder) -> None:
         """Count executed opcodes into *recorder* (opcode heat maps).
 
-        In fast mode this swaps the execution engine for the counting
-        copy of the threaded-dispatch loop; in reference mode the
-        interpreter checks ``_hit_recorder`` per invocation.  Both
-        engines increment at the same point of the step (after the
-        step-limit check, before dispatch), so fast and reference
-        counts agree trap-for-trap.
+        Both engines check ``_hit_recorder`` once per invocation and
+        increment at the same point of the step (after the step-limit
+        check, before dispatch), so fast and reference counts agree
+        trap-for-trap.
         """
         self._hit_recorder = recorder
-        self._bind_engine()
 
     def detach_hit_recorder(self) -> None:
-        """Stop counting; restore the uninstrumented engine."""
+        """Stop counting."""
         self._hit_recorder = None
-        self._bind_engine()
 
     # ------------------------------------------------------------ checkpoint
     def _rebuild_derived(self) -> None:
         self._translations = {}
-        self._bind_engine()
 
     def execute(
         self,
@@ -269,7 +248,7 @@ class VirtualMachine(DeclaredState):
                 f"handler expects {handler.n_params} args, got {len(args)}"
             )
         if self._mode != "reference":
-            return self._execute_fast(
+            return fastpath.execute_fast(
                 self, instance, handler, args, signal_sink, return_sink
             )
         code = instance.image.code
@@ -486,6 +465,10 @@ class VirtualMachine(DeclaredState):
             return left > right
         return left >= right
 
+
+# The fast engine imports this module's types, so it is imported last;
+# ``execute`` looks ``fastpath.execute_fast`` up per call.
+from repro.vm import fastpath  # noqa: E402
 
 __all__ = [
     "VirtualMachine",

@@ -9,7 +9,6 @@ from repro.obs.export import chrome_events
 from repro.obs.smoke import read_trace_layers, traced_read
 from repro.obs.tracer import install_tracer
 from repro.protocol.trace import ProtocolTracer
-from repro.sim.kernel import Simulator
 
 #: Two shards so the merge actually has something to order.
 TRACED_FLEET = FleetScenario(
@@ -71,9 +70,17 @@ def test_protocol_tracer_installs_and_close_detaches(world):
             make_peripheral_board("tmp36", rng=world.rng.stream("m")))
         world.run(3.0)
         assert tracer.numbers() == [4, 5, 1]
-    # close() uninstalled the tracer it created and restored the kernel.
+    # close() uninstalled the tracer it created: the kernel no longer
+    # reports to it, and new events carry no trace id.
     assert world.sim.tracer is None
-    assert world.sim.step.__func__ is Simulator.step
+    installed = tracer._tracer
+    recorded = (len(installed.events), installed.dropped)
+    installed.current = installed.new_trace()
+    handle = world.sim.schedule(0, lambda: None, name="after-close")
+    installed.current = None
+    world.run(3.0)
+    assert (len(installed.events), installed.dropped) == recorded
+    assert not hasattr(handle._event, "trace_id")
     tracer.close()  # idempotent
 
 

@@ -97,7 +97,7 @@ def _observable(sim, a, b, observations, barriers) -> tuple:
             a.state(), b.state(), observations, barriers)
 
 
-def _attach_profiler(sim) -> None:
+def _profile(sim) -> None:
     deployment = SimpleNamespace(sim=sim, spec=SimpleNamespace(index=0),
                                  things=[])
     ShardProfiler(deployment, ProfileConfig())
@@ -114,7 +114,7 @@ def _bulk(seen: list):
 #: (observer, attach(sim, seen), needs_per_event): the stand-down table.
 OBSERVERS = [
     ("no-observer", lambda sim, seen: None, False),
-    ("profiler", lambda sim, seen: _attach_profiler(sim), False),
+    ("profiler", lambda sim, seen: _profile(sim), False),
     ("bulk-hook", lambda sim, seen: sim.add_trace_hook(
         _hook(seen), bulk=_bulk(seen)), False),
     ("per-event-hook", lambda sim, seen: sim.add_trace_hook(_hook(seen)),

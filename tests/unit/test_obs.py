@@ -117,30 +117,31 @@ def test_snapshot_is_json_and_pickle_safe():
 
 
 # --------------------------------------------------------------- kernel hooks
-def test_attach_and_detach_swap_the_kernel_hot_paths():
-    # Disabled tracing costs the kernel nothing: the class hot paths
-    # read no tracer, and an instance without one (never attached, or
-    # detached) runs them unshadowed.  Checked through the bound
-    # methods, not ``sim.__dict__``: reading that slows the instance.
-    for method in (Simulator.step, Simulator.schedule_at):
-        assert "tracer" not in method.__code__.co_names
+def test_attach_and_detach_by_assignment_toggle_kernel_tracing():
+    # A tracer is attached and detached by assigning ``sim.tracer``:
+    # step, run_until and schedule_at read it per event.
     sim = Simulator()
-    assert sim.step.__func__ is Simulator.step
-    assert sim.schedule_at.__func__ is Simulator.schedule_at
-    tracer = install_tracer(sim)
+    tracer = install_tracer(sim, categories=None)
     assert sim.tracer is tracer
-    assert sim.step.__func__ is Simulator._observed_step
-    assert sim.schedule_at.__func__ is Simulator._observed_schedule_at
-    sim.detach_tracer()
-    assert sim.tracer is None
-    assert sim.step.__func__ is Simulator.step
-    assert sim.schedule_at.__func__ is Simulator.schedule_at
+    seen = []
 
+    def leaf():
+        seen.append(tracer.current)
 
-def test_observed_pair_is_the_only_shadowed_pair():
-    names = [n for n in vars(Simulator)
-             if n.endswith(("_step", "_schedule_at"))]
-    assert sorted(names) == ["_observed_schedule_at", "_observed_step"]
+    tracer.current = tracer.new_trace()
+    sim.schedule(1, leaf, name="leaf")
+    sim.schedule(2, leaf, name="leaf")
+    tracer.current = None
+    assert sim.step()  # traced: the stamped id is current again
+    sim.tracer = None
+    recorded = len(tracer.events)
+    sim.run_until(10)  # stamped too, but nothing restores it now
+    assert seen == [1, None]
+    assert len(tracer.events) == recorded == 1
+    tracer.current = tracer.new_trace()
+    handle = sim.schedule(1, leaf, name="untraced")
+    tracer.current = None
+    assert not hasattr(handle._event, "trace_id")
 
 
 def test_kernel_propagates_the_current_trace_across_schedules():

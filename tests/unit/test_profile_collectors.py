@@ -78,15 +78,24 @@ def test_profiler_counts_events_and_attributes_sim_gaps():
     assert snap["events"]["a"]["wall_ns"] > 0
 
 
-def test_attach_shadows_and_detach_restores_the_kernel_hot_paths():
+def test_attach_and_detach_toggle_kernel_profiling():
+    # The profiler is attached by assigning ``sim.profiler``; detach()
+    # clears it, and the kernel stops reporting at once.
     sim, profiler = _profiled()
-    assert sim.step.__func__ is Simulator._observed_step
-    assert sim.schedule_at.__func__ is Simulator._observed_schedule_at
+    assert sim.profiler is profiler
+    sim.schedule(10, lambda: None, name="a")
+    sim.run()
     profiler.detach()
-    assert sim.step.__func__ is Simulator.step
     assert sim.profiler is None
+    sim.schedule(10, lambda: None, name="a")
+    sim.schedule(20, lambda: None, name="late")
+    sim.run()
+    snap = profiler.snapshot()
+    assert snap["events"]["a"]["count"] == 1
+    assert "late" not in snap["events"]
+    assert "late" not in profiler._delays
     # Data recorded before detach stays readable.
-    assert profiler.snapshot()["shard"] == 0
+    assert snap["shard"] == 0
 
 
 @pytest.mark.parametrize("first", ["tracer", "profiler"])
@@ -94,49 +103,47 @@ def test_tracer_and_profiler_compose_on_one_observed_pair(first):
     sim, profiler = _profiled()
     tracer = install_tracer(sim)
     seen = []
+    leaves = []
 
     def leaf():
         seen.append(tracer.current)
 
     def root():
         tracer.current = tracer.new_trace()
-        sim.schedule(10, leaf, name="leaf")
+        leaves.append(sim.schedule(10, leaf, name="leaf")._event)
 
     def burst():
         sim.schedule(0, root, name="root")
         sim.run()
 
-    def bound():
-        return (sim.step.__func__ is Simulator._observed_step,
-                sim.schedule_at.__func__ is Simulator._observed_schedule_at)
-
     burst()
     assert seen == [1]
+    assert leaves[-1].trace_id == 1
     assert profiler.snapshot()["events"]["leaf"]["count"] == 1
-    assert bound() == (True, True)
 
     if first == "tracer":
-        sim.detach_tracer()
+        sim.tracer = None
     else:
         profiler.detach()
-    assert bound() == (True, True)
     burst()
     # The remaining observer still sees everything it observes.
     if first == "tracer":
         # Nothing resets the context any more: it leaks past the run.
         assert tracer.current == 2
+        assert not hasattr(leaves[-1], "trace_id")
         assert profiler.snapshot()["events"]["leaf"]["count"] == 2
     else:
         assert tracer.current is None
         assert seen == [1, 2]
+        assert leaves[-1].trace_id == 2
         assert profiler.snapshot()["events"]["leaf"]["count"] == 1
 
     if first == "tracer":
         profiler.detach()
     else:
-        sim.detach_tracer()
-    assert bound() == (False, False)
+        sim.tracer = None
     burst()
+    assert not hasattr(leaves[-1], "trace_id")
     assert profiler.snapshot()["events"]["leaf"]["count"] == \
         (2 if first == "tracer" else 1)
 
@@ -148,8 +155,6 @@ def test_checkpoint_restore_rebinds_the_observed_pair():
     clone, clone_profiler, clone_tracer = loads_state(
         dumps_state((sim, profiler, tracer)))
     assert "step" not in sim.snapshot_state()
-    assert clone.step.__func__ is Simulator._observed_step
-    assert clone.schedule_at.__func__ is Simulator._observed_schedule_at
     assert clone.tracer is clone_tracer
     assert clone.profiler is clone_profiler
     seen = []
@@ -164,6 +169,78 @@ def test_checkpoint_restore_rebinds_the_observed_pair():
     assert seen == [1]
     events = clone_profiler.snapshot()["events"]
     assert events["pending"]["count"] == events["leaf"]["count"] == 1
+
+
+@pytest.mark.parametrize("first", ["tracer", "profiler"])
+def test_detaching_observers_in_either_order_freezes_them(first):
+    # A traced and profiled shard (profiler with per-VM hit recorders),
+    # checkpointed mid-run, then detached one observer at a time.
+    from repro.fleet.deployment import ShardDeployment
+    from repro.fleet.scenario import SCENARIOS
+    from repro.sim.kernel import ns_from_s
+
+    scenario = SCENARIOS["smoke"].scaled(
+        things=2, shard_size=2, duration_s=10.0, trace=True,
+        profile=ProfileConfig())
+    deployment = ShardDeployment(scenario.shards()[0])
+    sim, tracer, profiler = (deployment.sim, deployment.sim.tracer,
+                             deployment.profiler)
+    recorders = [recorder for _, recorder in profiler._recorders]
+    assert tracer is not None and recorders
+    deployment.start()
+    sim.run_until(ns_from_s(2.0))
+    clone = loads_state(dumps_state(deployment))
+
+    def counts():
+        events = profiler.snapshot()["events"]
+        return (sum(record["count"] for record in events.values()),
+                [(r.executions, r.total_steps) for r in recorders])
+
+    def traced_schedule():
+        tracer.current = tracer.new_trace()
+        event = sim.schedule(1, lambda: None, name="probe")._event
+        tracer.current = None
+        return event
+
+    def detach(which):
+        if which == "tracer":
+            sim.tracer = None
+        else:
+            profiler.detach()
+
+    detach(first)
+    frozen = counts()
+    if first == "tracer":
+        assert not hasattr(traced_schedule(), "trace_id")
+        sim.run_until(ns_from_s(6.0))
+        assert counts()[0] > frozen[0]  # the profiler still reports
+    else:
+        assert traced_schedule().trace_id is not None
+        traced = len(tracer.events) + tracer.dropped
+        sim.run_until(ns_from_s(6.0))
+        assert counts() == frozen
+        assert len(tracer.events) + tracer.dropped > traced
+    detach("profiler" if first == "tracer" else "tracer")
+    frozen = counts()
+    assert not hasattr(traced_schedule(), "trace_id")
+    seq = sim._seq
+    sim.run_until(ns_from_s(10.0))
+    assert counts() == frozen
+    assert not any(hasattr(event, "trace_id")
+                   for heap in (sim._queue, sim._lane)
+                   for _, s, event in heap if s >= seq)
+
+    # The clone restored before any detach still reports to all three.
+    def clone_counts():
+        events = clone.profiler.snapshot()["events"].values()
+        return (sum(record["count"] for record in events),
+                sum(r.executions for _, r in clone.profiler._recorders),
+                len(clone.sim.tracer.events) + clone.sim.tracer.dropped)
+
+    start = clone_counts()
+    clone.sim.run_until(ns_from_s(10.0))
+    end = clone_counts()
+    assert all(after > prior for prior, after in zip(start, end))
 
 
 # --------------------------------------------------------------- idle gaps

@@ -118,33 +118,40 @@ def test_recorder_pickle_drops_identity_cache_but_keeps_heat():
 
 
 def test_detach_restores_the_uncounted_fast_loop():
-    from repro.vm import fastpath
-
-    vm = VirtualMachine(mode="fast")
-    vm.attach_hit_recorder(OpcodeHeatRecorder())
-    assert vm._execute_fast is not fastpath.execute_fast
-    vm.detach_hit_recorder()
-    assert vm._hit_recorder is None
-    assert vm._execute_fast is fastpath.execute_fast
+    code = _encode(_i(Op.PUSH8, 1), _i(Op.DROP), _i(Op.RET))
+    image = _image_for(code)
+    for mode in ("fast", "reference"):
+        vm = VirtualMachine(mode=mode)
+        recorder = OpcodeHeatRecorder()
+        vm.attach_hit_recorder(recorder)
+        instance = DriverInstance(image)
+        vm.execute(instance, image.handlers[0], (0,))
+        vm.detach_hit_recorder()
+        assert vm._hit_recorder is None
+        counted = recorder.snapshot()
+        vm.execute(instance, image.handlers[0], (0,))
+        assert recorder.snapshot() == counted
+        assert counted["executions"] == 1 and recorder.total_steps == 3
 
 
 def test_unprofiled_deployment_keeps_the_uncounted_hot_paths():
     from repro.fleet.deployment import ShardDeployment
     from repro.fleet.scenario import SCENARIOS
-    from repro.sim.kernel import Simulator
-    from repro.vm import fastpath
 
     scenario = SCENARIOS["smoke"].scaled(things=2, shard_size=2,
                                          duration_s=1.0)
     deployment = ShardDeployment(scenario.shards()[0])
+    deployment.run()
     sim = deployment.sim
-    assert sim.profiler is None
-    assert sim.step.__func__ is Simulator.step
-    assert sim.schedule_at.__func__ is Simulator.schedule_at
+    assert sim.profiler is None and sim.tracer is None
+    assert deployment.metrics.snapshot()["counters"]["sim.events"] > 0
+    # Nothing observed the run: no queued event carries a trace id.
+    assert not any(hasattr(event, "trace_id")
+                   for heap in (sim._queue, sim._lane)
+                   for _, _, event in heap)
     assert deployment.things
     for thing in deployment.things:
         assert thing.drivers.vm._hit_recorder is None
-        assert thing.drivers.vm._execute_fast is fastpath.execute_fast
 
 
 # -------------------------------------------------------------- merge

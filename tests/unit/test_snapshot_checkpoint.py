@@ -331,12 +331,14 @@ def test_v3_states_with_removed_tiers_restore_and_run():
     vm = VirtualMachine.__new__(VirtualMachine)
     vm.restore_state(state)
     assert vm.mode == "fast"
-    assert vm._execute_fast is fastpath.execute_fast
     image = _image_for(_encode(_i(Op.PUSH8, 2), _i(Op.PUSH8, 3), _i(Op.ADD),
                                _i(Op.STG, 0), _i(Op.RET)), n_params=0)
     instance = DriverInstance(image)
     vm.execute(instance, image.handlers[0])
     assert instance.globals[0] == 5
+    # Only the fast engine fills the VM's translation map.
+    assert vm._translations[id(image)][1] is fastpath.shared_translation(
+        image, vm.profile)
 
 
 def test_sim_v4_single_heap_checkpoint_restores_and_resumes(tmp_path,
