@@ -273,9 +273,9 @@ def profile_fast_gate():
 def gateway_obs_gate():
     scenario = SCENARIOS["gateway"].scaled(things=200, shard_size=200,
                                            seed=2)
-    bridges = [GatewayBridge(
-        scenario, obs=GatewayObsConfig(enabled=enabled)).start()
-        for enabled in (False, True)]
+    bridges = [GatewayBridge(scenario,
+                             obs=GatewayObsConfig(enabled=enabled))
+               for enabled in (False, True)]
     try:
         yield tuple(_reads(bridge, 50) for bridge in bridges)
     finally:

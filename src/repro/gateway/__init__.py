@@ -8,8 +8,9 @@ Layers:
 
 * :mod:`repro.gateway.thing_description` — pure TD generation from the
   driver catalogue and registry state;
-* :mod:`repro.gateway.bridge` — the sim-hosting thread, admission
-  pacing, request log, replay determinism;
+* :mod:`repro.gateway.bridge` — the op queue the serving event loop
+  drains into the sims, admission pacing, request log, replay
+  determinism;
 * :mod:`repro.gateway.wire` — stdlib HTTP/1.1 + RFC 6455 primitives;
 * :mod:`repro.gateway.server` — asyncio routing and streaming;
 * :mod:`repro.gateway.obs` — request-scoped observability: latency

@@ -1,15 +1,16 @@
-"""The gateway bridge: a live simulated fleet behind a request queue.
+"""The gateway bridge: a live simulated fleet behind an op queue.
 
 The bridge owns every shard of a :class:`FleetScenario` (built via
-:func:`repro.fleet.runner.live_shards`) and runs them on one dedicated
-thread.  Callers — the asyncio HTTP/WebSocket server, the load
-generator, tests — submit :class:`Op` values; the bridge thread
-dequeues them one at a time, injects each into the owning shard's
-simulator, drives that simulator until the operation completes, and
-resolves the caller's future.  Concurrent requests therefore
-*serialize deterministically* into sim events: whatever the wall-clock
-interleaving of arrivals, the fleet only ever observes the total order
-the queue produced.
+:func:`repro.fleet.runner.live_shards`).  Callers — the asyncio
+HTTP/WebSocket server, the load generator, tests — submit :class:`Op`
+values.  Once :meth:`GatewayBridge.start` has bound the bridge to the
+running event loop, that loop's thread is the only one that touches
+the simulators: ops wait in a deque, and one ``call_soon`` callback at
+a time runs the oldest to completion in its shard and resolves its
+future, so socket I/O runs between ops.  Concurrent requests therefore
+*serialize deterministically* into sim events: the fleet observes only
+the queue order, which is the request-log order.  An unbound bridge
+applies each op inline at once, as :meth:`GatewayBridge.replay` does.
 
 Virtual-time pacing policies
 ----------------------------
@@ -24,7 +25,7 @@ past it.  The fleet's entire state (and therefore :meth:`digest`) is a
 pure function of the ordered request log, which is what makes a
 recorded log replayable: see :meth:`replay`.
 
-``pacing="wall"``: a pacer in the bridge loop keeps every shard's
+``pacing="wall"``: a pacer timer on the bound loop keeps every shard's
 clock tracking wall time (times ``speed``), so churn, streams and
 telemetry advance while the service idles — the interactive/dashboard
 mode.  Wall pacing is explicitly *not* digest-reproducible: admission
@@ -43,13 +44,15 @@ simulator, so dashboard polling can never perturb the fleet.
 
 from __future__ import annotations
 
+import asyncio
+import functools
 import json
-import queue
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.drivers.catalog import CATALOG
 from repro.dsl.types import INT32_MAX, INT32_MIN
@@ -73,6 +76,9 @@ OP_KINDS = SIM_OPS + ("list", "td")
 
 #: Default admission quantum: 1 ms of simulated time per operation.
 DEFAULT_QUANTUM_NS = 1 * NS_PER_MS
+
+#: Wall-pacer period: how often an idle wall-paced fleet catches up.
+PACE_PERIOD_S = 0.02
 
 
 @dataclass(frozen=True)
@@ -195,83 +201,109 @@ class GatewayBridge:
             first = deployment.spec.first_thing
             for local in range(len(deployment.things)):
                 self._things[first + local] = (deployment, local)
-        self._queue: "queue.Queue" = queue.Queue()
-        self._thread: Optional[threading.Thread] = None
-        self._running = False
+        #: ``(op, future, enqueued_ns)`` awaiting the bound loop.
+        self._pending: Deque[tuple] = deque()
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._loop_thread: Optional[int] = None
+        #: The scheduled drain callback and the pacer and SLO timers.
+        self._handles: Dict[str, asyncio.Handle] = {}
         self._ops = 0           # logged operations (log index)
         self._admitted = 0      # sim-affecting operations (admission slots)
         self._wall_origin: Optional[float] = None
         self._subscribers: List[Callable[[dict], None]] = []
-        self._forwarders: List[Tuple[object, Callable]] = []
-        self._telemetry_listeners: List[Tuple[object, Callable]] = []
+        #: Undo each listener the event forwarding registered.
+        self._detach: List[Callable[[], None]] = []
         self._attach_event_forwarding()
 
     # ------------------------------------------------------------- lifecycle
     def start(self) -> "GatewayBridge":
-        """Launch the bridge thread.  Idempotent."""
-        if self._thread is None:
-            self._running = True
-            self._thread = threading.Thread(
-                target=self._serve_loop, name="gateway-bridge", daemon=True)
-            self._thread.start()
+        """Bind the bridge to the running event loop, whose thread then
+        runs every op, the wall pacer and the idle SLO sweep.
+        Idempotent; outside a running loop ops keep running inline."""
+        if self._loop is None:
+            try:
+                self._loop = asyncio.get_running_loop()
+            except RuntimeError:
+                return self
+            self._loop_thread = threading.get_ident()
+            self._wall_origin = time.perf_counter()
+            if self.pacing == "wall":
+                self._every("pace", PACE_PERIOD_S, self._pace_to_wall)
+            if self.obs is not None:
+                self._every("slo", max(PACE_PERIOD_S,
+                                       self.obs.config.slo_check_interval_s),
+                            self._check_slo)
         return self
 
     def close(self) -> None:
-        """Stop the bridge thread and detach every listener."""
-        if self._thread is not None:
-            self._running = False
-            self._queue.put(None)
-            self._thread.join(timeout=10.0)
-            self._thread = None
-        for endpoint, listener in self._forwarders:
-            endpoint.remove_listener(listener)
-        self._forwarders.clear()
-        for collector, listener in self._telemetry_listeners:
-            collector.remove_sample_listener(listener)
-        self._telemetry_listeners.clear()
+        """Unbind from the loop (call it on the loop's thread) and
+        detach every listener.  Queued ops are cancelled unrun and
+        unlogged."""
+        for handle in self._handles.values():
+            handle.cancel()
+        self._handles.clear()
+        while self._pending:
+            self._pending.popleft()[1].cancel()
+        self._loop = self._loop_thread = None
+        for detach in self._detach:
+            detach()
+        self._detach.clear()
 
-    def __enter__(self) -> "GatewayBridge":
-        return self.start()
+    def _every(self, name: str, period_s: float,
+               fn: Callable[[], None]) -> None:
+        """Run *fn* on the bound loop every *period_s* until close()."""
+        def tick() -> None:
+            self._handles[name] = self._loop.call_later(period_s, tick)
+            fn()
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+        self._handles[name] = self._loop.call_later(period_s, tick)
+
+    def _on_loop(self) -> bool:
+        """True when unbound or when called on the bound loop's thread."""
+        return self._loop_thread in (None, threading.get_ident())
 
     # ------------------------------------------------------------ submission
-    def submit(self, op: Op) -> "Future[OpResult]":
-        """Thread-safe: enqueue *op* for the bridge thread; returns a
-        future the asyncio server awaits via ``asyncio.wrap_future``.
-        The enqueue instant rides along so the decomposition can
-        attribute queue-wait separately from sim-drive time."""
-        future: "Future[OpResult]" = Future()
-        self._queue.put((op, future, time.perf_counter_ns()))
+    def submit(self, op: Op):
+        """Queue *op* behind every op already submitted; returns its
+        future (already done when unbound).
+
+        On the loop's thread it is an ``asyncio.Future``; from another
+        thread a ``concurrent.futures.Future``, and the op hops onto
+        the loop with ``call_soon_threadsafe``.  The enqueue instant
+        rides along to split queue-wait from sim-drive time.
+        """
+        if self._loop is None:
+            return _settled(Future(), self._apply, op)
+        enqueued_ns = time.perf_counter_ns()
+        if self._on_loop():
+            future = self._loop.create_future()
+            self._enqueue((op, future, enqueued_ns))
+        else:
+            future = Future()
+            self._loop.call_soon_threadsafe(
+                self._enqueue, (op, future, enqueued_ns))
         return future
 
     def execute(self, op: Op, timeout: Optional[float] = 30.0) -> OpResult:
-        """Synchronous convenience (tests, load-generator warm-up)."""
-        if self._thread is None:
-            # No thread: apply inline — the replay/scripted path.
+        """Synchronous convenience (tests, load-generator warm-up): on
+        the loop's thread or unbound the op runs inline at once."""
+        if self._on_loop():
             return self._apply(op)
         return self.submit(op).result(timeout=timeout)
 
     def submit_call(self, fn: Callable[[], object]) -> "Future":
-        """Enqueue *fn* for the bridge thread without blocking.
-
-        Unlogged, like :meth:`run_on_thread` — the server uses it to
-        snapshot telemetry banks without racing the single writer.
-        """
+        """Run *fn* between ops, unlogged; returns a future.  On the
+        loop's thread (or unbound) *fn* runs at once."""
+        if self._on_loop():
+            return _settled(Future(), fn)
         future: "Future" = Future()
-        if self._thread is None:
-            try:
-                future.set_result(fn())
-            except Exception as exc:
-                future.set_exception(exc)
-        else:
-            self._queue.put((fn, future, None))
+        self._loop.call_soon_threadsafe(self._run, fn, future, None)
         return future
 
     def run_on_thread(self, fn: Callable[[], object],
                       timeout: Optional[float] = 30.0):
-        """Run *fn* on the bridge thread (chaos/test hook).
+        """Run *fn* on the thread that owns the simulators (chaos/test
+        hook) and return its result.
 
         The call is **not** recorded in the request log: anything it
         does to the fleet is outside the determinism contract, exactly
@@ -279,36 +311,41 @@ class GatewayBridge:
         """
         return self.submit_call(fn).result(timeout=timeout)
 
-    # ------------------------------------------------------------ the thread
-    def _serve_loop(self) -> None:
-        self._wall_origin = time.perf_counter()
-        while self._running:
-            try:
-                item = self._queue.get(timeout=0.02)
-            except queue.Empty:
+    # -------------------------------------------------------------- the queue
+    def _enqueue(self, item: tuple) -> None:
+        if self._loop is None:  # closed while the op hopped on
+            item[1].cancel()
+            return
+        self._pending.append(item)
+        if "drain" not in self._handles:
+            self._handles["drain"] = self._loop.call_soon(self._drain)
+
+    def _drain(self) -> None:
+        """Run the oldest queued op; the next one waits a loop turn."""
+        del self._handles["drain"]
+        op, future, enqueued_ns = self._pending.popleft()
+        if self._pending:
+            self._handles["drain"] = self._loop.call_soon(self._drain)
+        self._run(op, future, enqueued_ns)
+
+    def _run(self, op, future, enqueued_ns: Optional[int]) -> None:
+        # A caller that cancelled before the op started gets no op: it
+        # is neither run nor logged.
+        started = (future.set_running_or_notify_cancel()
+                   if isinstance(future, Future) else not future.cancelled())
+        if not started:
+            return
+        try:
+            if callable(op):
+                result = op()
+            else:
                 if self.pacing == "wall":
                     self._pace_to_wall()
-                if self.obs is not None:
-                    # Idle SLO sweep: a degraded verdict must still
-                    # produce a flight dump when traffic has stopped.
-                    self.obs.maybe_check_slo(
-                        context=self._flight_context,
-                        trace_lookup=self._trace_events_for)
-                continue
-            if item is None:
-                continue
-            op, future, enqueued_ns = item
-            try:
-                if callable(op):
-                    result = op()
-                else:
-                    if self.pacing == "wall":
-                        self._pace_to_wall()
-                    result = self._apply(op, enqueued_ns=enqueued_ns)
-            except Exception as exc:  # surface, don't kill the thread
-                future.set_exception(exc)
-            else:
-                future.set_result(result)
+                result = self._apply(op, enqueued_ns=enqueued_ns)
+        except Exception as exc:  # surface to the caller, keep serving
+            future.set_exception(exc)
+        else:
+            future.set_result(result)
 
     def _pace_to_wall(self) -> None:
         """Advance every shard toward wall-elapsed * speed (wall mode)."""
@@ -318,15 +355,18 @@ class GatewayBridge:
             if deployment.sim.now_ns < target_ns:
                 deployment.sim.run_until(target_ns)
 
+    def _check_slo(self) -> None:
+        # After every op, and idle so a degraded verdict still dumps.
+        self.obs.maybe_check_slo(self._flight_context,
+                                 self._trace_events_for)
+
     # ------------------------------------------------------------- operations
     def _apply(self, op: Op, enqueued_ns: Optional[int] = None) -> OpResult:
-        """Apply one operation; runs on the bridge thread (or inline
-        during replay).  Single writer: nothing else touches the sims.
+        """Apply one operation: the single writer of the sims.
 
-        Decomposition stamps: *enqueued_ns* is the submit instant (None
-        on the inline/replay path → queue_wait 0); dequeue-to-done is
-        measured here.  Recording happens strictly after the handler
-        ran, so observability can never perturb the sims.
+        *enqueued_ns* is the submit instant (None inline → queue_wait
+        0); dequeue-to-done is measured here.  Recording happens after
+        the handler ran, so observability can never perturb the sims.
         """
         handler = getattr(self, f"_op_{op.kind}")
         index = self._ops
@@ -342,8 +382,7 @@ class GatewayBridge:
                 index, op, result,
                 queue_wait_ns=queue_wait_ns,
                 sim_exec_ns=finished_ns - started_ns)
-            self.obs.maybe_check_slo(context=self._flight_context,
-                                     trace_lookup=self._trace_events_for)
+            self._check_slo()
         return result
 
     # --------------------------------------------------------- request tracing
@@ -354,13 +393,15 @@ class GatewayBridge:
             return None
         return tracer
 
-    def _gw_trace_open(self, tracer, op: Op, trace_id: int,
+    def _gw_trace_open(self, tracer, op: Op, trace_id: Optional[int],
                        pre_ns: int, admitted: int) -> int:
         """Record the request-scoped envelope: an async span named
         after the op kind plus a back-dated ``gateway.admit`` slice
         covering the admission advance.  All args are deterministic
         (request log + sim state only), so traced exports replay
-        byte-identically."""
+        byte-identically.  Returns the track (0 when untraced)."""
+        if trace_id is None:
+            return 0
         track = tracer.track("gateway")
         tracer.async_begin(f"gateway.{op.kind}", "gateway", trace_id,
                            track=track,
@@ -373,13 +414,17 @@ class GatewayBridge:
                         args={"request_id": op.request_id})
         return track
 
-    def _gw_trace_close(self, tracer, op: Op, trace_id: int, track: int,
-                        result: OpResult) -> None:
-        tracer.async_end(f"gateway.{op.kind}", "gateway", trace_id,
-                         track=track,
-                         args={"status": result.status,
-                               "sim_latency_ns": result.sim_latency_ns})
-        tracer.current = None
+    def _finish(self, op: Op, tracer, trace_id: Optional[int], track: int,
+                result: OpResult) -> OpResult:
+        """Close the op's envelope, if traced, and stamp its trace id."""
+        if trace_id is not None:
+            tracer.async_end(f"gateway.{op.kind}", "gateway", trace_id,
+                             track=track,
+                             args={"status": result.status,
+                                   "sim_latency_ns": result.sim_latency_ns})
+            tracer.current = None
+        result.trace_id = trace_id
+        return result
 
     def _trace_events_for(self, trace_ids: List[int]) -> Dict[str, list]:
         """Tracer events for the given trace ids, keyed by id — the
@@ -391,22 +436,16 @@ class GatewayBridge:
         out: Dict[str, list] = {}
         for deployment in self.deployments:
             tracer = getattr(deployment.sim, "tracer", None)
-            if tracer is None:
-                continue
-            for event in tracer.events:
+            for event in tracer.events if tracer is not None else ():
                 if event.trace_id in wanted:
                     out.setdefault(str(event.trace_id),
                                    []).append(_sanitize(event.to_dict()))
         return out
 
     def _flight_context(self) -> dict:
-        return {
-            "pacing": self.pacing,
-            "quantum_ns": self.quantum_ns,
-            "ops_logged": self._ops,
-            "admitted": self._admitted,
-            "clocks_ns": [d.sim.now_ns for d in self.deployments],
-        }
+        return {"pacing": self.pacing, "quantum_ns": self.quantum_ns,
+                "ops_logged": self._ops, "admitted": self._admitted,
+                "clocks_ns": [d.sim.now_ns for d in self.deployments]}
 
     def _admit(self, deployment: ShardDeployment) -> int:
         """Advance *deployment* to the next admission instant.
@@ -426,8 +465,8 @@ class GatewayBridge:
         return admit_ns
 
     def _run_until_done(self, deployment: ShardDeployment, start_ns: int,
-                        done: Callable[[], bool]) -> bool:
-        """Drive one shard until *done* or the op deadline; True = done.
+                        done: Callable[[], bool]) -> None:
+        """Drive one shard until *done* or the op deadline.
 
         One stop-aware ``run_until`` runs the op to its completing
         event, so fast-forward windows span the whole op.  The shard
@@ -439,16 +478,14 @@ class GatewayBridge:
         """
         sim = deployment.sim
         if done():
-            return True
+            return
         deadline = start_ns + self.op_timeout_ns
         origin = sim.now_ns
         sim.run_until(deadline, until=done)
-        if not done():
-            return False
-        chunk = max(self.quantum_ns, 2 * NS_PER_MS)
-        chunks = max(1, -(-(sim.now_ns - origin) // chunk))
-        sim.run_until(min(deadline, origin + chunks * chunk))
-        return True
+        if done():
+            chunk = max(self.quantum_ns, 2 * NS_PER_MS)
+            chunks = max(1, -(-(sim.now_ns - origin) // chunk))
+            sim.run_until(min(deadline, origin + chunks * chunk))
 
     def _resolve(self, op: Op):
         entry = self._things.get(op.thing)
@@ -460,13 +497,9 @@ class GatewayBridge:
     # --- read-only ops ----------------------------------------------------
     def _op_list(self, op: Op) -> OpResult:
         del op
-        things = [
-            directory_entry(gid, len(self._things[gid][0]
-                                     .things[self._things[gid][1]]
-                                     .connected_peripherals()))
-            for gid in sorted(self._things)
-        ]
-        return OpResult(200, {"things": things})
+        return OpResult(200, {"things": [
+            directory_entry(gid, len(d.things[local].connected_peripherals()))
+            for gid, (d, local) in sorted(self._things.items())]})
 
     def _op_td(self, op: Op) -> OpResult:
         deployment, thing = self._resolve(op)
@@ -499,47 +532,13 @@ class GatewayBridge:
                 "error": f"no such property: {op.name!r}",
                 "thing": op.thing,
             })
-        pre_ns = deployment.sim.now_ns
-        admitted = self._admit(deployment)
-        tracer = self._gateway_tracer(deployment)
-        if tracer is not None:
-            tracer.current = None
-        box: List[object] = []
-        deployment.client.read(
-            thing.address, device_id, box.append,
-            timeout_s=self.op_timeout_ns / 2e9,
-        )
-        # The client just allocated the in-fleet trace id and left it
-        # on ``tracer.current``; adopt it as the request's id so the
-        # gateway envelope and the protocol/vm spans stitch into one
-        # flow in the export.
-        trace_id = tracer.current if tracer is not None else None
-        track = 0
-        if trace_id is not None:
-            track = self._gw_trace_open(tracer, op, trace_id,
-                                        pre_ns, admitted)
-        self._run_until_done(deployment, admitted, lambda: bool(box))
-        sim_latency = deployment.sim.now_ns - admitted
-        if not box or box[0] is None:
-            result = OpResult(504, {"error": "read timed out in-fleet",
-                                    "op": "read",
-                                    "thing": op.thing, "property": op.name,
-                                    "sim_ns_consumed": sim_latency},
-                              admitted_ns=admitted,
-                              sim_latency_ns=sim_latency)
-        else:
-            value = box[0]
-            result = OpResult(200, {
-                "property": op.name,
-                "thing": op.thing,
-                "value": value.value,
-                "ok": value.ok,
-                "device_id": str(value.device_id),
-            }, admitted_ns=admitted, sim_latency_ns=sim_latency)
-        if trace_id is not None:
-            self._gw_trace_close(tracer, op, trace_id, track, result)
-        result.trace_id = trace_id
-        return result
+        return self._client_op(
+            op, deployment, "property",
+            lambda done, timeout_s: deployment.client.read(
+                thing.address, device_id, done, timeout_s=timeout_s),
+            lambda value: {"property": op.name, "thing": op.thing,
+                           "value": value.value, "ok": value.ok,
+                           "device_id": str(value.device_id)})
 
     def _op_write(self, op: Op) -> OpResult:
         deployment, thing = self._resolve(op)
@@ -556,38 +555,48 @@ class GatewayBridge:
         device_id = self._property_device(thing, key)
         if device_id is None:
             return OpResult(404, {"error": f"no such action: {op.name!r}"})
+        return self._client_op(
+            op, deployment, "action",
+            lambda done, timeout_s: deployment.client.write(
+                thing.address, device_id, int(op.value), done,
+                timeout_s=timeout_s),
+            lambda status: {"action": op.name, "thing": op.thing,
+                            "status": status})
+
+    def _client_op(self, op: Op, deployment: ShardDeployment, target: str,
+                   call: Callable, body: Callable) -> OpResult:
+        """Admit one client RPC, drive its shard to the reply, answer."""
         pre_ns = deployment.sim.now_ns
         admitted = self._admit(deployment)
         tracer = self._gateway_tracer(deployment)
         if tracer is not None:
             tracer.current = None
         box: List[object] = []
-        deployment.client.write(
-            thing.address, device_id, int(op.value), box.append,
-            timeout_s=self.op_timeout_ns / 2e9,
-        )
+        call(box.append, self.op_timeout_ns / 2e9)
+        # The client just allocated the in-fleet trace id and left it
+        # on ``tracer.current``; adopt it as the request's id so the
+        # gateway envelope and the protocol/vm spans stitch into one
+        # flow in the export.
         trace_id = tracer.current if tracer is not None else None
-        track = 0
-        if trace_id is not None:
-            track = self._gw_trace_open(tracer, op, trace_id,
-                                        pre_ns, admitted)
+        track = self._gw_trace_open(tracer, op, trace_id, pre_ns, admitted)
         self._run_until_done(deployment, admitted, lambda: bool(box))
+        reply = box[0] if box else None
+        result = self._answer(op, deployment, admitted, target,
+                              None if reply is None else body(reply),
+                              f"{op.kind} timed out in-fleet")
+        return self._finish(op, tracer, trace_id, track, result)
+
+    def _answer(self, op: Op, deployment: ShardDeployment, admitted: int,
+                target: str, body: Optional[dict], error: str) -> OpResult:
+        """200 with *body*, or 504 naming the op's *target* when None."""
         sim_latency = deployment.sim.now_ns - admitted
-        if not box or box[0] is None:
-            result = OpResult(504, {"error": "write timed out in-fleet",
-                                    "op": "write",
-                                    "thing": op.thing, "action": op.name,
-                                    "sim_ns_consumed": sim_latency},
-                              admitted_ns=admitted,
-                              sim_latency_ns=sim_latency)
-        else:
-            result = OpResult(200, {
-                "action": op.name, "thing": op.thing, "status": box[0],
-            }, admitted_ns=admitted, sim_latency_ns=sim_latency)
-        if trace_id is not None:
-            self._gw_trace_close(tracer, op, trace_id, track, result)
-        result.trace_id = trace_id
-        return result
+        if body is None:
+            return OpResult(504, {"error": error, "op": op.kind,
+                                  "thing": op.thing, target: op.name,
+                                  "sim_ns_consumed": sim_latency},
+                            admitted_ns=admitted, sim_latency_ns=sim_latency)
+        return OpResult(200, body, admitted_ns=admitted,
+                        sim_latency_ns=sim_latency)
 
     def _op_install(self, op: Op) -> OpResult:
         deployment, thing = self._resolve(op)
@@ -613,44 +622,26 @@ class GatewayBridge:
         # and the whole upload chain inherits it.
         tracer = self._gateway_tracer(deployment)
         trace_id = None
-        track = 0
         if tracer is not None:
-            trace_id = tracer.new_trace()
-            tracer.current = trace_id
-            track = self._gw_trace_open(tracer, op, trace_id,
-                                        pre_ns, admitted)
+            trace_id = tracer.current = tracer.new_trace()
+        track = self._gw_trace_open(tracer, op, trace_id, pre_ns, admitted)
         thing.add_listener(on_event)
         try:
             if not deployment.manager.push_driver(thing.address,
                                                   spec.device_id):
-                result = OpResult(404, {
-                    "error": f"registry has no driver for {op.name!r}"})
-                if trace_id is not None:
-                    self._gw_trace_close(tracer, op, trace_id, track,
-                                         result)
-                result.trace_id = trace_id
-                return result
+                return self._finish(op, tracer, trace_id, track, OpResult(
+                    404, {"error": f"registry has no driver for "
+                                   f"{op.name!r}"}))
             self._run_until_done(deployment, admitted,
                                  lambda: done["hit"])
         finally:
             thing.remove_listener(on_event)
-        sim_latency = deployment.sim.now_ns - admitted
-        if not done["hit"]:
-            result = OpResult(504, {"error": "install not confirmed in-fleet",
-                                    "op": "install",
-                                    "thing": op.thing, "driver": op.name,
-                                    "sim_ns_consumed": sim_latency},
-                              admitted_ns=admitted,
-                              sim_latency_ns=sim_latency)
-        else:
-            result = OpResult(200, {
-                "action": INSTALL_ACTION, "thing": op.thing,
-                "driver": op.name, "installed": True,
-            }, admitted_ns=admitted, sim_latency_ns=sim_latency)
-        if trace_id is not None:
-            self._gw_trace_close(tracer, op, trace_id, track, result)
-        result.trace_id = trace_id
-        return result
+        result = self._answer(
+            op, deployment, admitted, "driver",
+            {"action": INSTALL_ACTION, "thing": op.thing,
+             "driver": op.name, "installed": True} if done["hit"] else None,
+            "install not confirmed in-fleet")
+        return self._finish(op, tracer, trace_id, track, result)
 
     def _op_advance(self, op: Op) -> OpResult:
         """Advance every shard by ``value`` ns (warm-up, tests, replay)."""
@@ -665,19 +656,17 @@ class GatewayBridge:
 
     # ------------------------------------------------------------- streaming
     def subscribe(self, callback: Callable[[dict], None]) -> None:
-        """Fan live fleet events out to *callback* (bridge-thread calls!).
+        """Fan live fleet events out to *callback*, called from inside
+        the op that caused them (on the bound loop's thread).
 
-        The WebSocket layer wraps callbacks with
-        ``loop.call_soon_threadsafe``; see GatewayServer.  Events carry
-        ``{"type": ..., "time_s": ..., ...}`` JSON-safe payloads.
+        Events carry ``{"type": ..., "time_s": ..., ...}`` JSON-safe
+        payloads.
         """
         self._subscribers.append(callback)
 
     def unsubscribe(self, callback: Callable[[dict], None]) -> None:
-        try:
+        if callback in self._subscribers:
             self._subscribers.remove(callback)
-        except ValueError:
-            pass
 
     def _attach_event_forwarding(self) -> None:
         for deployment in self.deployments:
@@ -692,7 +681,8 @@ class GatewayBridge:
                 })
 
             deployment.client.add_listener(on_client)
-            self._forwarders.append((deployment.client, on_client))
+            self._detach.append(functools.partial(
+                deployment.client.remove_listener, on_client))
             for local, thing in enumerate(deployment.things):
                 def on_thing(event, gid=first + local, shard=shard):
                     self._publish({
@@ -704,7 +694,8 @@ class GatewayBridge:
                     })
 
                 thing.add_listener(on_thing)
-                self._forwarders.append((thing, on_thing))
+                self._detach.append(functools.partial(
+                    thing.remove_listener, on_thing))
             if deployment.telemetry is not None:
                 def on_sample(time_ns, collector, shard=shard):
                     self._publish({
@@ -718,12 +709,10 @@ class GatewayBridge:
                     })
 
                 deployment.telemetry.add_sample_listener(on_sample)
-                self._telemetry_listeners.append(
-                    (deployment.telemetry, on_sample))
+                self._detach.append(functools.partial(
+                    deployment.telemetry.remove_sample_listener, on_sample))
 
     def _publish(self, message: dict) -> None:
-        if not self._subscribers:
-            return
         for callback in list(self._subscribers):
             callback(message)
 
@@ -743,7 +732,7 @@ class GatewayBridge:
     @classmethod
     def replay(cls, scenario: FleetScenario, ops: List[Op],
                **kwargs) -> "GatewayBridge":
-        """Rebuild a fleet and apply *ops* in order, without a thread.
+        """Rebuild a fleet and apply *ops* in order, inline.
 
         Returns the bridge so callers can compare :meth:`digest`
         against the recording bridge's — the determinism contract test.
@@ -752,6 +741,15 @@ class GatewayBridge:
         for op in ops:
             bridge._apply(op)
         return bridge
+
+
+def _settled(future, fn: Callable, *args):
+    """Settle *future* with ``fn(*args)`` or the exception it raised."""
+    try:
+        future.set_result(fn(*args))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
 
 
 __all__ = [

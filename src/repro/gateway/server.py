@@ -1,12 +1,13 @@
 """The gateway HTTP/WebSocket front-end.
 
 :class:`GatewayServer` owns an ``asyncio.start_server`` listener and a
-:class:`~repro.gateway.bridge.GatewayBridge`.  Request handling is
-thin: parse, route, translate the route into an :class:`Op`, await the
-bridge's future (``asyncio.wrap_future`` crosses from the bridge
-thread back into the event loop), serialize the :class:`OpResult` as
-JSON.  All fleet semantics — admission, timeouts, 404-vs-504 — are the
-bridge's; all transport concerns — keep-alive, malformed requests,
+:class:`~repro.gateway.bridge.GatewayBridge`, which :meth:`start`
+binds to the serving event loop: one thread serves the sockets and
+runs the simulators.  Request handling is thin: parse, route,
+translate the route into an :class:`Op`, await the bridge's future
+while the queued op waits its turn, serialize the :class:`OpResult`
+as JSON.  All fleet semantics — admission, timeouts, 404-vs-504 — are
+the bridge's; all transport concerns — keep-alive, malformed requests,
 WebSocket framing — are this module's.
 
 Routes
@@ -70,7 +71,7 @@ STREAM_QUEUE_DEPTH = 1024
 
 @dataclass
 class GatewayStats:
-    """Server-plane counters (asyncio thread only; never sim state)."""
+    """Server-plane counters (never sim state)."""
 
     requests: int = 0
     streams: int = 0
@@ -279,35 +280,24 @@ class GatewayServer:
 
     async def _metrics(self):
         """OpenMetrics scrape: shard telemetry banks merged (shard
-        order) with the gateway's own decomposition bank.  Snapshots
-        are taken on the bridge thread — the single writer — so a
-        scrape can never race the sims."""
+        order) with the gateway's own decomposition bank.  The
+        handler runs between ops on the thread that owns the sims, so
+        a scrape can never race them."""
         bridge = self.bridge
-
-        def snap() -> dict:
-            banks = [d.telemetry.bank.snapshot()
-                     for d in bridge.deployments
-                     if d.telemetry is not None]
-            if bridge.obs is not None:
-                banks.append(bridge.obs.bank.snapshot())
-            return SeriesBank.merge(banks)
-
-        merged = await asyncio.wrap_future(bridge.submit_call(snap))
-        return (200, to_openmetrics(merged),
+        banks = [d.telemetry.bank.snapshot()
+                 for d in bridge.deployments if d.telemetry is not None]
+        if bridge.obs is not None:
+            banks.append(bridge.obs.bank.snapshot())
+        return (200, to_openmetrics(SeriesBank.merge(banks)),
                 OPENMETRICS_CONTENT_TYPE, None)
 
     async def _debug_ops(self):
-        bridge = self.bridge
-        if bridge.obs is None:
+        obs = self.bridge.obs
+        if obs is None:
             return _json(404, {"error": "gateway observability disabled"})
-
-        def snap() -> dict:
-            return {"summary": bridge.obs.summary(),
-                    "slowest": bridge.obs.journal_snapshot(),
-                    "server": self.stats.as_dict()}
-
-        return _json(200, await asyncio.wrap_future(
-            bridge.submit_call(snap)))
+        return _json(200, {"summary": obs.summary(),
+                           "slowest": obs.journal_snapshot(),
+                           "server": self.stats.as_dict()})
 
     # ------------------------------------------------------------- streaming
     async def _serve_stream(self, request: Request, reader, writer) -> None:
@@ -322,24 +312,20 @@ class GatewayServer:
             return
         writer.write(ws_handshake_bytes(key))
         await writer.drain()
-        loop = asyncio.get_running_loop()
         events: "asyncio.Queue" = asyncio.Queue(
             maxsize=self.stream_queue_depth)
 
         def on_event(message: dict) -> None:
-            # Bridge-thread context: hop onto the loop, drop when the
-            # consumer can't keep up (a live stream must never apply
-            # backpressure to the simulation).
-            def deliver() -> None:
-                try:
-                    events.put_nowait(message)
-                except asyncio.QueueFull:
-                    self.stats.stream_dropped += 1
-                    if self.bridge.obs is not None:
-                        self.bridge.obs.record_stream_dropped(
-                            self.stats.stream_dropped)
-
-            loop.call_soon_threadsafe(deliver)
+            # Called inside a running op: drop when the consumer can't
+            # keep up (a live stream must never apply backpressure to
+            # the simulation).
+            try:
+                events.put_nowait(message)
+            except asyncio.QueueFull:
+                self.stats.stream_dropped += 1
+                if self.bridge.obs is not None:
+                    self.bridge.obs.record_stream_dropped(
+                        self.stats.stream_dropped)
 
         self.bridge.subscribe(on_event)
         self.stats.streams += 1

@@ -227,8 +227,9 @@ class Simulator(DeclaredState):
         #: Closed-form idle fast-forward (see :meth:`run_until`).
         self._ff_enabled = False
         #: Suppression marker: no fast-forward window is attempted for
-        #: heads before this instant (set after an empty/tiny window so
-        #: its O(lane) grouping is not repeated every event).
+        #: heads before this instant (set after an empty/tiny window or
+        #: a declined ranking, so its O(lane) grouping is not repeated
+        #: every event).
         self._ff_skip_until = 0
         #: Cohort cache: the ranked cohort records as the last window
         #: left them, reused by the next window while no lane entry has
@@ -504,7 +505,8 @@ class Simulator(DeclaredState):
         rounds and re-keys its event in place.  Bulk trace hooks are
         called once per event name, with the name's summed count
         stamped at its last occurrence.  A window whose cohorts' seq
-        ranges interleave is declined, and ``run_until`` steps it.
+        ranges interleave is declined, and ``run_until`` steps it and
+        every lane head before the instant :meth:`_ff_settle` names.
         """
         cached = self._ff_cache
         # Grouping first: it may move lane entries to the main heap.
@@ -535,6 +537,10 @@ class Simulator(DeclaredState):
             return 0
 
         if cached is None and not self._ff_rank(records):
+            # Interleaved seq ranges change only when one of the
+            # interleaving cohorts fires: step until then without
+            # regrouping the lane for every stepped head.
+            self._ff_skip_until = self._ff_settle(records) + 1
             return 0
         seq, planned = self._ff_plan(records, window_end, self._seq)
         self._seq = seq
@@ -684,6 +690,24 @@ class Simulator(DeclaredState):
                 return False
             prev_hi = rec[3][-1][1]
         return True
+
+    @staticmethod
+    def _ff_settle(records: list) -> int:
+        """The earliest instant at which a declined ranking can pass.
+
+        Two interleaving cohorts stay interleaved until one of them
+        fires (at its first fire, ``rec[2]``), and every such pair must
+        change first: no ranking passes before the latest, over the
+        pairs found, of each pair's earlier first fire.
+        """
+        settle = 0
+        hi = hi_fire = -1
+        for rec in records:
+            if rec[0] <= hi:
+                settle = max(settle, min(rec[2], hi_fire))
+            if rec[3][-1][1] > hi:
+                hi, hi_fire = rec[3][-1][1], rec[2]
+        return settle
 
     @staticmethod
     def _ff_plan(records: list, window_end: int, seq: int):

@@ -105,17 +105,20 @@ class Histogram:
     # ------------------------------------------------------------- recording
     def observe(self, value: float) -> None:
         value = float(value)
+        counts = self.counts
         if value < self.lo:
             index = 0
         elif value >= self.hi:
-            index = len(self.counts) - 1
+            index = len(counts) - 1
         else:
             offset = math.log10(value / self.lo) * self.buckets_per_decade
-            index = 1 + min(len(self.counts) - 3, int(offset))
-        self.counts[index] += 1
+            index = 1 + min(len(counts) - 3, int(offset))
+        counts[index] += 1
         self.total += value
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
+        if value < self.minimum:
+            self.minimum = value
+        if value > self.maximum:
+            self.maximum = value
 
     @property
     def count(self) -> int:

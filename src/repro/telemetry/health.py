@@ -8,6 +8,9 @@ snapshot-only report cannot: a fleet that *degraded and recovered*
 (some failing windows, final window passing) from one that is *broken*
 (still failing at the end) or was *healthy throughout*.
 
+:class:`RuleWindows` judges the same windows as samples arrive, for a
+service that cannot re-read its whole history at every check.
+
 Everything is deterministic: window boundaries are a pure function of
 the horizon and ``window_s``, aggregate math runs over the merged
 document (itself a pure function of ``(scenario, seed)``), and verdict
@@ -17,6 +20,7 @@ floats are rounded before JSON encoding so verdicts are byte-stable.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -257,24 +261,99 @@ def horizon_ns(document: dict) -> int:
     return horizon
 
 
+def judge_window(rule: SloRule, document: dict, t0_ns: int,
+                 end_ns: int) -> Optional[WindowVerdict]:
+    """*rule*'s verdict on the window that starts at ``t0_ns`` in a
+    document whose horizon is ``end_ns``; None = nothing to judge."""
+    t1 = min(t0_ns + int(rule.window_s * 1e9), end_ns + 1)
+    value = _aggregate(rule, document, t0_ns, t1)
+    if value is None:
+        return None
+    value *= rule.scale
+    return WindowVerdict(t0_ns / 1e9, min(t1, end_ns) / 1e9, value,
+                         _OPS[rule.op](value, rule.threshold))
+
+
 def evaluate_rule(rule: SloRule, document: dict) -> RuleResult:
     """Evaluate *rule* over tumbling windows spanning the document."""
     end_ns = horizon_ns(document)
-    window_ns = int(rule.window_s * 1e9)
-    windows: List[WindowVerdict] = []
-    t0 = 0
-    compare = _OPS[rule.op]
-    while t0 < end_ns:
-        t1 = min(t0 + window_ns, end_ns + 1)
-        value = _aggregate(rule, document, t0, t1)
-        if value is not None:
-            value *= rule.scale
-            windows.append(WindowVerdict(
-                t0 / 1e9, min(t1, end_ns) / 1e9, value,
-                compare(value, rule.threshold),
-            ))
-        t0 += window_ns
-    return RuleResult(rule, windows)
+    verdicts = (judge_window(rule, document, t0, end_ns)
+                for t0 in range(0, end_ns, int(rule.window_s * 1e9)))
+    return RuleResult(rule, [v for v in verdicts if v is not None])
+
+
+class RuleWindows:
+    """:func:`evaluate_rule` over a document that grows one sample at
+    a time: a sample costs constant time, judging a window time in its
+    own samples.
+
+    Each series' samples must arrive in time order.  The open window
+    holds its samples of every series the rule names (only the
+    freshest one unless the aggregate needs them all), each after the
+    series' last earlier sample as the delta baseline, so
+    :func:`judge_window` judges it as in the whole document.  A closed
+    window keeps only its verdict (the last *history* of them); a
+    sample older than the open window is dropped.
+    """
+
+    def __init__(self, rule: SloRule, history: int) -> None:
+        self.rule = rule
+        self.names = (rule.series, rule.ratio_to)
+        self.width = int(rule.window_s * 1e9)
+        self.keep_all = (rule.ratio_to is None
+                         and rule.aggregate not in ("last", "delta"))
+        #: Windows without samples are judged too (delta 0).
+        self.zero_fill = rule.ratio_to is None and rule.aggregate == "delta"
+        self.verdicts = deque(maxlen=history)
+        self.index = 0
+        self.open: Dict[tuple, list] = {}
+        self.latest: Dict[tuple, tuple] = {}
+
+    def feed(self, key: tuple, t: int, value: float) -> None:
+        """Add one sample of the series ``key = (side, labels)``; side
+        0 is ``rule.series`` and side 1 ``rule.ratio_to``."""
+        index = t // self.width
+        if index != self.index:
+            if index < self.index:
+                return
+            self.verdicts.extend(self._judge(
+                range(max(self.index, index - self.verdicts.maxlen), index),
+                index * self.width))
+            self.index = index
+            self.open = {}
+        samples = self.open.get(key)
+        if samples is None:
+            base = self.latest.get(key)
+            samples = self.open[key] = [] if base is None else [base]
+        sample = self.latest[key] = (t, value)
+        if (self.keep_all or not samples
+                or samples[-1][0] < index * self.width):
+            samples.append(sample)
+        else:
+            samples[-1] = sample
+
+    def _judge(self, windows: range, end_ns: int) -> list:
+        """Verdicts of *windows* (indexes) in a document that ends at
+        *end_ns*; past the open window only delta rules judge."""
+        document = {"series": [{"name": self.rule.series, "samples": []}]
+                    + [{"name": self.names[key[0]], "samples": samples}
+                       for key, samples in self.open.items()]}
+        out = []
+        for k in windows:
+            if k > self.index and not self.zero_fill:
+                break
+            verdict = judge_window(self.rule, document, k * self.width,
+                                   min(end_ns, (k + 1) * self.width))
+            if verdict is not None:
+                out.append(verdict)
+        return out
+
+    def result(self, horizon_ns: int) -> RuleResult:
+        """Every window that starts before *horizon_ns*, the last one
+        ending there — the windows ``evaluate_rule`` judges."""
+        ahead = range(self.index, -(-horizon_ns // self.width))
+        return RuleResult(self.rule, list(self.verdicts)
+                          + self._judge(ahead, horizon_ns))
 
 
 def evaluate(rules: Sequence[SloRule], document: dict) -> HealthReport:
@@ -297,5 +376,5 @@ DEFAULT_RULES: Tuple[SloRule, ...] = (
 
 
 __all__ = ["SloRule", "WindowVerdict", "RuleResult", "HealthReport",
-           "evaluate", "evaluate_rule", "horizon_ns", "DEFAULT_RULES",
-           "AGGREGATES"]
+           "evaluate", "evaluate_rule", "judge_window", "RuleWindows",
+           "horizon_ns", "DEFAULT_RULES", "AGGREGATES"]

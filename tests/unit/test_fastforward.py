@@ -1180,3 +1180,37 @@ def test_drain_between_windows_drops_the_cohort_cache():
     on, off = worlds
     assert on.sim.ff_windows > 0
     assert _lane_observable(on) == _lane_observable(off)
+
+
+class _GroupCounting(Simulator):
+    """Counts lane groupings: one O(lane) pass each."""
+
+    groupings = 0
+
+    def _ff_group(self) -> list:
+        self.groupings += 1
+        return super()._ff_group()
+
+
+def test_declined_ranking_stops_regrouping_until_a_cohort_fires():
+    # 10 ms and 15 ms handles registered alternately: the two cohorts'
+    # seq ranges interleave until the 10 ms cohort has fired once.
+    # Stepping those firings must not regroup the lane per event.
+    def build(ff: bool):
+        sim = _GroupCounting()
+        samplers = [Sampler(5 + i) for i in range(40)]
+        for i, s in enumerate(samplers):
+            sim.every((10, 15)[i % 2] * NS_PER_MS, s.tick, name=f"s{i % 2}",
+                      fast_forward=True, bulk=s.apply)
+        if ff:
+            sim.enable_fast_forward()
+        sim.run_until(1_000 * NS_PER_MS)
+        return sim, (sim.now_ns, sim._seq, sim.pending_count(),
+                     [s.state() for s in samplers], _queue_keys(sim))
+
+    on, observed = build(True)
+    off, expected = build(False)
+    assert observed == expected
+    assert on.ff_windows > 0
+    assert on.groupings == 2
+    assert off.groupings == 0

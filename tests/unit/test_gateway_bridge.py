@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import time
 
 import pytest
 
@@ -178,20 +179,158 @@ def test_execute_without_thread_applies_inline():
     bridge.close()
 
 
-def test_submitted_ops_serialize_across_threads():
+def _td_properties(bridge):
+    """Every ``(thing, property)`` pair the TDs advertise."""
+    for entry in bridge.execute(Op("list")).body["things"]:
+        thing = int(entry["id"].rsplit(":", 1)[1])
+        for prop in bridge.execute(Op("td", thing=thing)).body.get(
+                "properties", ()):
+            yield thing, prop
+
+
+def _readable(bridge, count=2):
+    """Up to *count* ``(thing, property)`` pairs that read 200, found
+    inline on *bridge* after a 2 s warm-up advance."""
+    bridge.execute(Op("advance", value=2_000_000_000))
+    found = []
+    for thing, prop in _td_properties(bridge):
+        if bridge.execute(Op("read", thing=thing, name=prop)).status == 200:
+            found.append((thing, prop))
+            if len(found) == count:
+                break
+    return found
+
+
+@pytest.mark.asyncio
+async def test_loop_and_foreign_thread_submissions_serialize_in_log_order():
+    # While bound, reads submitted on the loop and from another thread
+    # share one queue: each submitter's ops run in its submission
+    # order, each result is the log entry of its own op, and a replay
+    # of the log reaches the live digest.
     bridge = GatewayBridge(SCENARIO).start()
+    targets = _readable(bridge)
+    assert targets, "no readable property after warm-up"
+
+    def read(tag: str, n: int) -> Op:
+        thing, prop = targets[n % len(targets)]
+        return Op("read", thing=thing, name=prop, request_id=tag)
+
+    def foreign() -> list:
+        futures = [bridge.submit(read(f"thread-{n}", n)) for n in range(6)]
+        assert not any(isinstance(f, asyncio.Future) for f in futures)
+        return [f.result(timeout=60.0) for f in futures]
+
     try:
-        futures = [bridge.submit(Op("advance", value=10_000_000))
-                   for _ in range(8)]
-        results = [f.result(timeout=60.0) for f in futures]
-        assert all(r.status == 200 for r in results)
-        # Serialized: the log holds all 8 in submission order.
-        assert [e["kind"] for e in bridge.log.entries] == ["advance"] * 8
-        clocks = bridge.run_on_thread(
-            lambda: [d.sim.now_ns for d in bridge.deployments])
-        assert all(t == 80_000_000 for t in clocks)
+        worker = asyncio.get_running_loop().run_in_executor(None, foreign)
+        futures = []
+        for n in range(6):
+            futures.append(bridge.submit(read(f"loop-{n}", n)))
+            await asyncio.sleep(0)
+        assert all(isinstance(f, asyncio.Future) for f in futures)
+        on_loop = await asyncio.gather(*futures)
+        off_loop = await worker
+        for results in (on_loop, off_loop):
+            assert all(r.status == 200 for r in results)
+            indexes = [r.record["index"] for r in results]
+            assert indexes == sorted(indexes)
+            for result in results:
+                entry = bridge.log.entries[result.record["index"]]
+                assert entry["request_id"] == result.record["request_id"]
+                assert entry["admitted_ns"] == result.admitted_ns
+        assert len({r.record["index"] for r in on_loop + off_loop}) == 12
+        replayed = GatewayBridge.replay(SCENARIO, bridge.log.ops())
+        assert replayed.digest() == bridge.digest()
     finally:
         bridge.close()
+
+
+@pytest.mark.asyncio
+async def test_back_to_back_reads_wait_for_each_other():
+    bridge = GatewayBridge(SCENARIO).start()
+    try:
+        (thing, prop), = _readable(bridge, count=1)
+        first = bridge.submit(Op("read", thing=thing, name=prop))
+        second = bridge.submit(Op("read", thing=thing, name=prop))
+        a, b = await asyncio.gather(first, second)
+        assert a.status == b.status == 200
+        # The second op queued while the first drove the sim.
+        assert b.record["queue_wait_ms"] >= a.record["sim_exec_ms"] > 0
+        assert [e["index"] for e in bridge.log.entries][-2:] == \
+            [a.record["index"], b.record["index"]]
+    finally:
+        bridge.close()
+
+
+@pytest.mark.asyncio
+async def test_wall_pacing_advances_idle_shards_with_wall_time():
+    speed = 20.0
+    bridge = GatewayBridge(SCENARIO, pacing="wall", wall_speed=speed)
+    bridge.start()
+    try:
+        await asyncio.sleep(0.2)
+        clocks = [d.sim.now_ns for d in bridge.deployments]
+        elapsed = time.perf_counter() - bridge._wall_origin
+        for clock in clocks:
+            # The pacer lags wall time by about one period; the slack
+            # is for a loaded host.
+            assert 0.5 * elapsed * speed * 1e9 <= clock
+            assert clock <= elapsed * speed * 1e9
+        # An op admitted in wall mode runs at its shard's clock, which
+        # the pacer has just brought to wall time (not at the free
+        # pacing slot instant, 1 ms).
+        thing, prop = next(_td_properties(bridge))
+        before = (time.perf_counter() - bridge._wall_origin) * speed * 1e9
+        result = await bridge.submit(Op("read", thing=thing, name=prop))
+        after = (time.perf_counter() - bridge._wall_origin) * speed * 1e9
+        assert result.status in (200, 504)
+        assert before <= result.admitted_ns <= after
+        assert bridge.log.entries[-1]["admitted_ns"] == result.admitted_ns
+    finally:
+        bridge.close()
+
+
+@pytest.mark.asyncio
+async def test_close_cancels_queued_ops_without_running_or_logging_them():
+    # Reads queued directly and through HTTP connections, then the
+    # server and the bridge close with most of them still queued.
+    from repro.gateway.server import GatewayServer
+
+    loop = asyncio.get_running_loop()
+    seen = []
+    loop.set_exception_handler(lambda loop, context: seen.append(context))
+    bridge = GatewayBridge(SCENARIO)
+    server = await GatewayServer(bridge).start()
+    targets = _readable(bridge)
+    connections = []
+    for thing, prop in targets * 3:
+        reader, writer = await asyncio.open_connection(server.host,
+                                                       server.port)
+        writer.write(f"GET /things/{thing}/properties/{prop} HTTP/1.1"
+                     f"\r\nHost: test\r\n\r\n".encode())
+        connections.append((reader, writer))
+    futures = [bridge.submit(Op("read", thing=thing, name=prop))
+               for thing, prop in targets * 10]
+    logged = len(bridge.log.entries)
+    while len(bridge.log.entries) < logged + 2:
+        await asyncio.sleep(0)
+    await server.close()
+    queued = sum(not f.done() for f in futures)
+    bridge.close()
+    logged = len(bridge.log.entries)
+    assert all(f.done() for f in futures)
+    assert sum(f.cancelled() for f in futures) == queued > 0
+    assert all(f.result().status == 200 for f in futures
+               if not f.cancelled())
+    for reader, writer in connections:
+        # Each client got its whole reply or a closed connection.
+        reply = await reader.read()
+        assert reply == b"" or reply.startswith(b"HTTP/1.1 200 OK")
+        writer.close()
+    await asyncio.sleep(0.1)
+    assert len(bridge.log.entries) == logged
+    assert seen == []
+    replayed = GatewayBridge.replay(SCENARIO, bridge.log.ops())
+    assert replayed.digest() == bridge.digest()
 
 
 def test_out_of_range_write_is_rejected_before_admission():

@@ -5,10 +5,6 @@ overrides, so every assertion is exact — no sleeping, no sockets.
 """
 
 import json
-import math
-import sys
-import threading
-import time
 
 import pytest
 
@@ -21,6 +17,7 @@ from repro.gateway.obs import (
     GatewayObservability,
 )
 from repro.sim.stats import percentile
+from repro.telemetry.health import SloRule, evaluate
 from repro.telemetry.export import to_openmetrics, validate_openmetrics
 
 
@@ -115,47 +112,6 @@ class TestDecomposition:
             assert kind[component]["count"] == ops, component
         assert kind["sim_exec_ms"]["max"] == pytest.approx(7.0)
 
-    def test_summary_races_reply_recording_safely(self):
-        # A fresh recorder per round: a histogram's first observe is
-        # where an unguarded read would see a count with no maximum.
-        current = []
-        stop = threading.Event()
-
-        def replies():
-            while not stop.is_set():
-                if current:
-                    obs, record = current[-1]
-                    obs.record_reply(record, reply_ns=1_000)
-
-        def check(obs) -> int:
-            summary = obs.summary()
-            # allow_nan=False rejects inf/nan anywhere.
-            json.dumps(summary, allow_nan=False)
-            reply = summary["kinds"]["read"]["reply_write_ms"]
-            assert all(math.isfinite(v) for v in reply.values())
-            return reply["count"]
-
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        thread = threading.Thread(target=replies)
-        thread.start()
-        try:
-            for _ in range(1_000):
-                obs = GatewayObservability(op_kinds=("read",))
-                current.append((obs, _record(obs, 0)))
-                for _ in range(3):
-                    check(obs)
-            # Nothing makes the reply thread reach the last recorder
-            # within its three summaries: keep summarizing (still
-            # racing) until a reply lands there, bounded.
-            deadline = time.monotonic() + 5.0
-            while check(obs) == 0 and time.monotonic() < deadline:
-                time.sleep(1e-4)
-        finally:
-            stop.set()
-            thread.join()
-            sys.setswitchinterval(switch)
-        assert obs.summary()["kinds"]["read"]["reply_write_ms"]["count"] > 0
 
 class TestJournalAndRing:
     def test_journal_keeps_worst_n(self):
@@ -283,3 +239,109 @@ class TestStreamDropped:
         series = next(s for s in snap["series"]
                       if s["name"] == "gateway_stream_dropped_total")
         assert series["samples"][-1][1] == 3
+
+
+class TestWallPlaneSampling:
+    def test_one_sample_per_interval_with_the_worst_op_as_exemplar(self):
+        obs = GatewayObservability(op_kinds=("read",))
+        for i, exec_ms in enumerate([1.0, 9.0, 4.0]):
+            _record(obs, i, exec_ms=exec_ms, trace_id=100 + i)
+        series = {(s.name, s.labels.get("kind")): s for s in obs.bank}
+        wall = series[("gateway_op_wall_ms", "read")]
+        assert len(wall) == 0
+        obs.maybe_check_slo(now_ns=5_000_000)
+        assert wall.samples == ((5_000_000, 10.0),)
+        assert wall.exemplars == [(5_000_000, 10.0, 101)]
+        assert series[("gateway_ops_total", "read")].samples == \
+            ((5_000_000, 3.0),)
+        assert series[("gateway_sim_exec_ms", "read")].last[1] == 9.0
+        # Nothing new in the next interval: no new samples.
+        obs.maybe_check_slo(now_ns=2_000_000_000)
+        assert len(wall) == 1
+        assert len(series[("gateway_ops_total", "read")]) == 1
+
+
+def _per_op_document(samples, names):
+    """The reference input of ``telemetry.health.evaluate``: every
+    per-op sample of the named series, one series per (name, kind)."""
+    series = {}
+    for name, kind, t, value in samples:
+        series.setdefault((name, kind), []).append([t, value])
+    document = [{"name": n, "labels": {"kind": k}, "samples": s}
+                for (n, k), s in series.items() if n in names]
+    return {"series": document
+            + [{"name": n, "labels": {}, "samples": []} for n in names]}
+
+
+class TestSloWindowsMatchTheDocumentEvaluation:
+    RULES = DEFAULT_GATEWAY_SLOS + (
+        "sim_tail: gateway_sim_latency_ms.p95 < 40 window=1",
+        "exec_mean: gateway_sim_exec_ms.mean < 500 window=2",
+        "queue_last: gateway_queue_wait_ms.last < 50 window=3",
+        "error_burst: gateway_op_errors_total.delta < 3 window=4",
+        "exec_max: gateway_sim_exec_ms.max <= 900",
+    )
+
+    def _drive(self, rules):
+        """Healthy, then slow and failing, then healthy again; the
+        old per-op evaluation and the new windows judged side by side
+        at every 1 s check."""
+        obs = GatewayObservability(
+            GatewayObsConfig(slos=rules, slo_check_interval_s=1.0),
+            op_kinds=("read", "write"))
+        parsed = [SloRule.parse(text) for text in rules]
+        names = ({r.series for r in parsed}
+                 | {r.ratio_to for r in parsed if r.ratio_to})
+        samples, counts, errors = [], {}, {}
+        statuses = []
+        sim_ns = 0
+        for i in range(300):
+            t = 37_000_000 + i * 100_000_000       # one op per 100 ms
+            kind = ("read", "write")[i % 3 == 0]
+            bad = 100 <= i < 160
+            exec_ms = 1_000.0 if bad else 5.0 + i % 7
+            queue_ms = 60.0 if bad and i % 2 else 2.0
+            status = 504 if bad and i % 4 == 0 else 200
+            sim_ns += 50_000_000
+            latency_ns = (80 if bad else 10) * 1_000_000
+            result = OpResult(status=status, admitted_ns=sim_ns,
+                              sim_latency_ns=latency_ns)
+            obs.record_op(i, Op(kind), result,
+                          queue_wait_ns=int(queue_ms * 1e6),
+                          sim_exec_ns=int(exec_ms * 1e6), now_ns=t)
+            counts[kind] = counts.get(kind, 0) + 1
+            errors[kind] = errors.get(kind, 0) + (status >= 500)
+            samples += [
+                ("gateway_ops_total", kind, t, counts[kind]),
+                ("gateway_op_errors_total", kind, t, errors[kind]),
+                ("gateway_queue_wait_ms", kind, t, queue_ms),
+                ("gateway_sim_exec_ms", kind, t, exec_ms),
+                ("gateway_op_wall_ms", kind, t, queue_ms + exec_ms),
+                ("gateway_sim_latency_ms", kind, sim_ns + latency_ns,
+                 latency_ns / 1e6),
+            ]
+            report = obs.maybe_check_slo(now_ns=t)
+            if report is None:
+                continue
+            expected = evaluate(parsed, _per_op_document(samples, names))
+            assert report.as_dict() == expected.as_dict(), i
+            statuses.append(report.status)
+            self.last = report
+        return statuses
+
+    def test_default_rules_degrade_then_recover(self):
+        statuses = self._drive(DEFAULT_GATEWAY_SLOS)
+        assert statuses[0] == "ok"
+        assert "degraded" in statuses
+        assert statuses[-1] == "recovered"
+
+    def test_every_aggregate_and_the_sim_plane_agree(self):
+        statuses = self._drive(self.RULES)
+        assert statuses[0] == "ok" and "degraded" in statuses
+        final = {r.rule.name: r.status for r in self.last.results}
+        assert final.pop("gateway_op_p95") == "ok"
+        assert set(final.values()) == {"recovered"}
+
+    def test_sim_plane_rule_alone(self):
+        statuses = self._drive(self.RULES[2:3])
+        assert statuses[0] == "ok" and statuses[-1] == "recovered"
